@@ -48,7 +48,6 @@ from .parser import (
     GenerationSet,
     parse_generation_set,
     parse_literal,
-    validate_generation_set,
 )
 from .template import (
     DEFAULT_MAX_LEVEL,
@@ -61,7 +60,6 @@ from .template import (
 from .rectangle import (
     Rectangle,
     construct_from_template,
-    construct_naive,
     remove_clauses,
 )
 from .semantics import (
@@ -72,10 +70,8 @@ from .semantics import (
     SatResult,
     check_minimality,
     entails,
-    implication_is_tautology,
     is_satisfiable,
     is_standard_contradiction,
-    satisfies,
 )
 from .theoremgen import (
     Conclusion,
@@ -83,7 +79,6 @@ from .theoremgen import (
     NegatedConjunction,
     Provenance,
     Theorem,
-    check_mutual_equivalence,
     generate_theorem,
     generate_theorem_with_partition,
     hypothesis_from_conclusion,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CapExceededError, RectAtgError, TooManyAtomsError
@@ -37,26 +36,6 @@ EXIT_CHECK = 4
 # The library default of 24 atoms is far beyond what the minimality
 # sweep can chew through interactively, so the CLI caps lower.
 DEFAULT_CLI_MAX_ATOMS = 20
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    literals: str | None = None
-    file: str | None = None
-    record: str | None = None
-    var_style: str = "upper"
-    hypothesis: tuple[int, ...] | None = None
-    output: str = "text"
-    verify: bool = False
-    max_level: int = DEFAULT_MAX_LEVEL
-    max_atoms: int = DEFAULT_CLI_MAX_ATOMS
-
-    def __post_init__(self):
-        if self.max_level < 1:
-            raise ValueError("--max-n must be at least 1")
-        if self.max_atoms < 1:
-            raise ValueError("--max-atoms must be at least 1")
 
 
 def _indices(text: str) -> tuple[int, ...]:
@@ -152,85 +131,79 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolved_max_level(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get("RECT_ATG_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_LEVEL
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"RECT_ATG_MAX_N must be an integer, got {raw!r}") from None
+    value = flag_value
+    if value is None:
+        raw = os.environ.get("RECT_ATG_MAX_N")
+        if raw is None:
+            return DEFAULT_MAX_LEVEL
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"RECT_ATG_MAX_N must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise ValueError("--max-n must be at least 1")
+    return value
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        literals=args.literals,
-        file=args.file,
-        record=getattr(args, "record", None),
-        var_style=args.var_style,
-        hypothesis=getattr(args, "hypothesis", None),
-        output=getattr(args, "output", "text"),
-        verify=getattr(args, "verify", False),
-        max_level=_resolved_max_level(args.max_n),
-        max_atoms=getattr(args, "max_atoms", DEFAULT_CLI_MAX_ATOMS),
-    )
-
-
-def _load_generation_set(cfg: RunConfig):
-    if cfg.literals is not None:
-        text = cfg.literals
+def _load_generation_set(args: argparse.Namespace):
+    if args.literals is not None:
+        text = args.literals
     else:
-        text = Path(cfg.file).read_text(encoding="utf-8")
-    return parse_generation_set(text, cfg.var_style)
+        text = Path(args.file).read_text(encoding="utf-8")
+    return parse_generation_set(text, args.var_style)
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    generators = _load_generation_set(cfg)
-    indices = cfg.hypothesis if cfg.hypothesis is not None else (0,)
-    theorem = generate_theorem_with_partition(generators, indices, cfg.max_level)
-    if cfg.verify and not verify_theorem(theorem, cfg.max_atoms):
+def _check_atom_bound(generators, max_atoms: int) -> None:
+    # The rectangle has exactly one atom per generation literal, so the
+    # enumeration bound can be enforced before anything is materialized.
+    if generators.n > max_atoms:
+        raise TooManyAtomsError(generators.n, max_atoms)
+
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    generators = _load_generation_set(args)
+    if args.verify:
+        _check_atom_bound(generators, args.max_atoms)
+    indices = args.hypothesis if args.hypothesis is not None else (0,)
+    theorem = generate_theorem_with_partition(generators, indices, args.max_n)
+    if args.verify and not verify_theorem(theorem, args.max_atoms):
         print("error: generated theorem failed verification", file=sys.stderr)
         return EXIT_CHECK
-    if cfg.output == "tptp":
+    if args.output == "tptp":
         sys.stdout.write(export_tptp(theorem))
-    elif cfg.output == "json":
+    elif args.output == "json":
         sys.stdout.write(save_record(theorem))
     else:
         sys.stdout.write(render_theorem(theorem))
     return EXIT_OK
 
 
-def cmd_rectangle(cfg: RunConfig) -> int:
-    generators = _load_generation_set(cfg)
-    rect = construct_from_template(generators, cfg.max_level)
-    if cfg.output == "dimacs":
+def cmd_rectangle(args: argparse.Namespace) -> int:
+    generators = _load_generation_set(args)
+    rect = construct_from_template(generators, args.max_n)
+    if args.output == "dimacs":
         sys.stdout.write(export_dimacs(rect.clause_set(), AtomNumbering.from_rectangle(rect)))
     else:
         sys.stdout.write(render_matrix(rect) + "\n")
     return EXIT_OK
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    if cfg.record is not None:
+def cmd_check(args: argparse.Namespace) -> int:
+    if args.record is not None:
         theorem = load_record(
-            Path(cfg.record).read_text(encoding="utf-8"), cfg.max_level
+            Path(args.record).read_text(encoding="utf-8"), args.max_n
         )
         generators = theorem.provenance.generators
     else:
         theorem = None
-        generators = _load_generation_set(cfg)
-    # The rectangle has exactly one atom per generation literal, so the
-    # enumeration bound can be enforced before anything is materialized.
-    if generators.n > cfg.max_atoms:
-        raise TooManyAtomsError(generators.n, cfg.max_atoms)
-    rect = construct_from_template(generators, cfg.max_level)
-    report = check_minimality(rect, cfg.max_atoms)
+        generators = _load_generation_set(args)
+    _check_atom_bound(generators, args.max_atoms)
+    rect = construct_from_template(generators, args.max_n)
+    report = check_minimality(rect, args.max_atoms)
     print(report.summary())
     ok = report.ok
     if theorem is not None:
-        verified = verify_theorem(theorem, cfg.max_atoms)
+        verified = verify_theorem(theorem, args.max_atoms)
         print(f"theorem: {'verified' if verified else 'not verified'}")
         ok = ok and verified
     return EXIT_OK if ok else EXIT_CHECK
@@ -246,8 +219,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        # From here on, args.max_n holds the effective cap.
+        args.max_n = _resolved_max_level(args.max_n)
+        if getattr(args, "max_atoms", 1) < 1:
+            raise ValueError("--max-atoms must be at least 1")
+        return _COMMANDS[args.command](args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

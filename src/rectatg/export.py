@@ -30,7 +30,7 @@ from .logic import (
     Variable,
     collect_atoms,
 )
-from .parser import validate_generation_set
+from .parser import GenerationSet
 from .rectangle import Rectangle
 from .template import DEFAULT_MAX_LEVEL
 from .theoremgen import (
@@ -300,10 +300,13 @@ def load_record(text: str, max_level: int = DEFAULT_MAX_LEVEL) -> Theorem:
     for key in ("generators", "removed_indices", "premises", "conclusion"):
         if key not in data:
             raise MalformedRecordError(f"record is missing the {key!r} field")
+    indices = data["removed_indices"]
+    # bool is an int subclass, so test the exact type.
+    if not isinstance(indices, list) or any(type(i) is not int for i in indices):
+        raise MalformedRecordError("removed_indices must be a JSON list of integers")
     try:
         literals = [_literal_from_json(item) for item in data["generators"]]
-        generators = validate_generation_set(literals)
-        indices = [int(i) for i in data["removed_indices"]]
+        generators = GenerationSet(tuple(literals))
         theorem = generate_theorem_with_partition(generators, indices, max_level)
     except CapExceededError:
         raise

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import DuplicatePredicateError, EmptySetError, ParseError
 from .logic import Constant, Function, Literal, Pred, Prop, Term, Variable
@@ -175,7 +175,12 @@ class _Parser:
 
 @dataclass(frozen=True)
 class GenerationSet:
-    """Nonempty ordered literal sequence with pairwise distinct predicate symbols."""
+    """Nonempty ordered literal sequence with pairwise distinct predicate symbols.
+
+    Construction checks the invariants: empty input, and any two literals
+    sharing a predicate or proposition symbol ("=" included), are
+    rejected.  Duplicate positions in the error are 1-based.
+    """
 
     literals: tuple[Literal, ...]
 
@@ -231,14 +236,4 @@ def parse_generation_set(text: str, var_style: str = "upper") -> GenerationSet:
             raise parser._fail("a separator or end of input")
     if not literals:
         raise EmptySetError("no literals found in input")
-    return validate_generation_set(literals)
-
-
-def validate_generation_set(literals: Sequence[Literal]) -> GenerationSet:
-    """Check the generation-set invariants and wrap the literals.
-
-    Rejects empty input and any two literals sharing a predicate or
-    proposition symbol, "=" included.  Duplicate positions in the error
-    are 1-based.
-    """
     return GenerationSet(tuple(literals))

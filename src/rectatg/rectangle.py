@@ -3,9 +3,10 @@
 For n generation literals the rectangle is the n by 2**n literal grid
 whose columns, read top to bottom, are the 2**n clauses choosing each
 generator or its complement in every combination, in binary-counter
-column order.  Two independent constructions are kept on purpose: the
-level-by-level doubling route and the template-fill route.  They must
-agree cell for cell, and the test suite holds them to that.
+column order.  The library has one construction route: each row is
+laid out by the template's block rule.  The level-by-level doubling
+construction lives in the tests as an independent cross-check, and
+the two must agree cell for cell.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Sequence
 from .errors import IndexOutOfRangeError, SizeCapError
 from .logic import Clause, ClauseSet, Literal, negate_literal
 from .parser import GenerationSet
-from .template import DEFAULT_MAX_LEVEL, Marker, make_template
+from .template import DEFAULT_MAX_LEVEL, _sign_rows
 
 
 class Rectangle:
@@ -67,45 +68,21 @@ class Rectangle:
         return f"Rectangle(n={self.n}, width={self.width})"
 
 
-def construct_naive(
-    generators: GenerationSet, max_level: int = DEFAULT_MAX_LEVEL
-) -> Rectangle:
-    """Build the rectangle level by level.
-
-    Level 1 is the single row (l1, ~l1).  Each further level lays two
-    copies of the previous grid side by side and appends a new bottom
-    row: 2**(i-1) copies of the next generator, then as many of its
-    complement.
-    """
-    n = generators.n
-    if n > max_level:
-        raise SizeCapError(n, max_level)
-    lits = list(generators)
-    rows: list[list[Literal]] = [[lits[0], negate_literal(lits[0])]]
-    for i in range(1, n):
-        rows = [row + row for row in rows]
-        half = 1 << i
-        rows.append([lits[i]] * half + [negate_literal(lits[i])] * half)
-    return Rectangle(generators, rows)
-
-
 def construct_from_template(
     generators: GenerationSet, max_level: int = DEFAULT_MAX_LEVEL
 ) -> Rectangle:
-    """Build the rectangle by filling the level-n polarity template.
+    """Build the rectangle from the block rule of the level-n template.
 
     Cell (i, j) is generator i where the template marker is positive and
-    its complement where the marker is "?".
+    its complement where the marker is "?", that is, where bit i of j is
+    set.  Each row holds just the generator and one complement object.
     """
     n = generators.n
     if n > max_level:
         raise SizeCapError(n, max_level)
-    tpl = make_template(n, max_level)
-    rows = []
-    for lit, marker_row in zip(generators, tpl.rows):
-        neg = negate_literal(lit)
-        rows.append([lit if m is Marker.POSITIVE else neg for m in marker_row])
-    return Rectangle(generators, rows)
+    return Rectangle(
+        generators, _sign_rows(n, ((lit, negate_literal(lit)) for lit in generators))
+    )
 
 
 def remove_clauses(rect: Rectangle, indices: Iterable[int]) -> ClauseSet:

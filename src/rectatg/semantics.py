@@ -18,12 +18,11 @@ checks, not an identity the code assumes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
 from .errors import ProductTooLargeError, TooManyAtomsError
-from .logic import Atom, Clause, ClauseSet, collect_atoms
+from .logic import Atom, ClauseSet, collect_atoms
 from .rectangle import Rectangle, remove_clauses
 
 DEFAULT_MAX_ATOMS = 24
@@ -40,19 +39,6 @@ class SatResult:
     @property
     def verdict(self) -> str:
         return "SAT" if self.satisfiable else "UNSAT"
-
-
-def satisfies(assignment: Assignment, clauses: Iterable[Clause]) -> bool:
-    """Direct evaluation: every clause has a literal made true.
-
-    The assignment must cover every atom that occurs.  This is the
-    plain-reading evaluator; is_satisfiable uses bit masks instead, so
-    witnesses can be re-checked through an independent code path.
-    """
-    return all(
-        any(assignment[lit.atom] != lit.negated for lit in clause)
-        for clause in clauses
-    )
 
 
 def is_satisfiable(
@@ -196,21 +182,3 @@ def entails(
     conjunction exactly when premises plus hypothesis are unsatisfiable."""
     combined = ClauseSet(tuple(premises) + tuple(hypothesis))
     return not is_satisfiable(combined, max_atoms).satisfiable
-
-
-def implication_is_tautology(
-    premises: ClauseSet, hypothesis: ClauseSet, max_atoms: int = DEFAULT_MAX_ATOMS
-) -> bool:
-    """Sweep every assignment and evaluate (all premises) -> not (all hypothesis).
-
-    This is the direct truth-table reading of the implication formula,
-    kept separate from the refutation route in ``entails``.
-    """
-    atoms = collect_atoms(itertools.chain(premises, hypothesis))
-    if len(atoms) > max_atoms:
-        raise TooManyAtomsError(len(atoms), max_atoms)
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        assignment = dict(zip(atoms, bits))
-        if satisfies(assignment, premises) and satisfies(assignment, hypothesis):
-            return False
-    return True

@@ -10,17 +10,13 @@ the generation literals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import EmptyHypothesisError, IndexOutOfRangeError
 from .logic import Clause, ClauseSet, Literal, negate_clause, negate_literal
 from .parser import GenerationSet
 from .rectangle import construct_from_template, remove_clauses
-from .semantics import (
-    DEFAULT_MAX_ATOMS,
-    entails,
-    implication_is_tautology,
-)
+from .semantics import DEFAULT_MAX_ATOMS, entails
 from .template import DEFAULT_MAX_LEVEL
 
 
@@ -135,25 +131,3 @@ def verify_theorem(theorem: Theorem, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool
     return entails(
         theorem.premises, hypothesis_from_conclusion(theorem.conclusion), max_atoms
     )
-
-
-def check_mutual_equivalence(
-    generators: GenerationSet,
-    partitions: Sequence[Iterable[int]],
-    max_level: int = DEFAULT_MAX_LEVEL,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-) -> bool:
-    """All theorems cut from one rectangle say the same thing.
-
-    For each partition the implication (premise conjunction) -> negated
-    hypothesis conjunction must be a tautology under the assignment
-    sweep.  Since every such implication paraphrases the same underlying
-    contradiction, confirming each one confirms pairwise equivalence.
-    """
-    for partition in partitions:
-        theorem = generate_theorem_with_partition(generators, partition, max_level)
-        if not implication_is_tautology(
-            theorem.premises, theorem.hypothesis_clauses, max_atoms
-        ):
-            return False
-    return True

@@ -2,9 +2,10 @@
 
 The oracles here deliberately re-derive results through different
 algorithms than the package uses: full product enumeration instead of
-pruned search, direct dictionary evaluation instead of bit masks, and
-block arithmetic instead of bit tests.  Tests lean on them to cross
-check derived values.
+pruned search, direct dictionary evaluation instead of bit masks,
+block arithmetic instead of bit tests, and level-by-level doubling
+instead of the block rule.  Tests lean on them to cross check derived
+values.
 """
 
 from __future__ import annotations
@@ -13,19 +14,29 @@ import itertools
 import random
 
 from rectatg import (
+    DEFAULT_MAX_ATOMS,
+    DEFAULT_MAX_LEVEL,
     Clause,
     ClauseSet,
     Constant,
     Function,
+    GenerationSet,
     Literal,
     Pred,
     Prop,
+    Rectangle,
+    SizeCapError,
+    TooManyAtomsError,
     Variable,
     complementary,
     collect_atoms,
+    generate_theorem_with_partition,
+    negate_literal,
     parse_literal,
-    validate_generation_set,
 )
+
+# GenerationSet checks its own invariants; tests keep the older name.
+validate_generation_set = GenerationSet
 
 
 def lit(name: str, negated: bool = False) -> Literal:
@@ -75,10 +86,72 @@ def sat_oracle_direct(clauses):
 
 
 def evaluates_true(env, clauses) -> bool:
-    """Independent re-check that env satisfies every clause."""
+    """Independent re-check that env satisfies every clause.
+
+    env must cover every atom that occurs.
+    """
     return all(
         any(env[l.atom] != l.negated for l in c.literals) for c in clauses
     )
+
+
+# The same check under the name the witness re-checks use.
+satisfies = evaluates_true
+
+
+def implication_is_tautology(premises, hypothesis, max_atoms=DEFAULT_MAX_ATOMS) -> bool:
+    """Sweep every assignment and evaluate (all premises) -> not (all hypothesis).
+
+    The direct truth-table reading of the implication formula, independent
+    of the refutation route in ``entails``.
+    """
+    atoms = collect_atoms(itertools.chain(premises, hypothesis))
+    if len(atoms) > max_atoms:
+        raise TooManyAtomsError(len(atoms), max_atoms)
+    for bits in itertools.product((False, True), repeat=len(atoms)):
+        env = dict(zip(atoms, bits))
+        if evaluates_true(env, premises) and evaluates_true(env, hypothesis):
+            return False
+    return True
+
+
+def check_mutual_equivalence(
+    generators, partitions, max_level=DEFAULT_MAX_LEVEL, max_atoms=DEFAULT_MAX_ATOMS
+) -> bool:
+    """All theorems cut from one rectangle say the same thing.
+
+    Each partition's implication (premise conjunction) -> negated
+    hypothesis conjunction must be a tautology under the assignment
+    sweep; every one paraphrases the same contradiction, so confirming
+    each confirms pairwise equivalence.
+    """
+    for partition in partitions:
+        theorem = generate_theorem_with_partition(generators, partition, max_level)
+        if not implication_is_tautology(
+            theorem.premises, theorem.hypothesis_clauses, max_atoms
+        ):
+            return False
+    return True
+
+
+def construct_naive(generators, max_level=DEFAULT_MAX_LEVEL) -> Rectangle:
+    """Build the rectangle level by level.
+
+    Level 1 is the single row (l1, ~l1).  Each further level lays two
+    copies of the previous grid side by side and appends a new bottom
+    row: 2**(i-1) copies of the next generator, then as many of its
+    complement.
+    """
+    n = generators.n
+    if n > max_level:
+        raise SizeCapError(n, max_level)
+    lits = list(generators)
+    rows = [[lits[0], negate_literal(lits[0])]]
+    for i in range(1, n):
+        rows = [row + row for row in rows]
+        half = 1 << i
+        rows.append([lits[i]] * half + [negate_literal(lits[i])] * half)
+    return Rectangle(generators, rows)
 
 
 def polarity_oracle_positive(row: int, column: int) -> bool:

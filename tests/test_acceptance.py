@@ -19,9 +19,7 @@ from rectatg import (
     ClauseSet,
     Marker,
     check_minimality,
-    check_mutual_equivalence,
     construct_from_template,
-    construct_naive,
     export_dimacs,
     generate_theorem,
     generate_theorem_with_partition,
@@ -34,14 +32,20 @@ from rectatg import (
     polarity_at,
     remove_clauses,
     render_template,
-    satisfies,
     save_record,
-    validate_generation_set,
     verify_theorem,
 )
 from rectatg.logic import Constant, Literal, Pred, Prop, negate_literal
 
-from conftest import evaluates_true, polarity_oracle_positive, random_generation_set
+from conftest import (
+    check_mutual_equivalence,
+    construct_naive,
+    evaluates_true,
+    polarity_oracle_positive,
+    random_generation_set,
+    satisfies,
+    validate_generation_set,
+)
 
 
 def criterion(number, description, budget_seconds):

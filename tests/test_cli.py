@@ -4,6 +4,14 @@ import sys
 
 import pytest
 
+from rectatg import (
+    MalformedRecordError,
+    generate_theorem,
+    load_record,
+    parse_generation_set,
+    save_record,
+)
+from rectatg import cli
 from rectatg.cli import main
 
 THEOREM_TEXT = "¬p ∨ q\np ∨ ¬q\n¬p ∨ ¬q\n⊢ ¬p ∧ ¬q\n"
@@ -118,6 +126,31 @@ def test_too_many_atoms_for_check_is_a_cap_error(capsys):
     code, _, err = run(capsys, "check", "-l", literals)
     assert code == 3
     assert "21" in err and "20" in err
+
+
+def test_verify_refuses_too_many_atoms_before_building(capsys, monkeypatch):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("the theorem was built before the atom bound was checked")
+
+    monkeypatch.setattr(cli, "generate_theorem_with_partition", must_not_build)
+    literals = ", ".join(f"p{i}" for i in range(21))
+    code, _, err = run(capsys, "generate", "-l", literals, "--verify")
+    assert code == 3
+    assert "21" in err and "20" in err
+
+
+@pytest.mark.parametrize("removed", ([0.7], [False], ["0"], "0"))
+def test_ill_typed_removed_indices_are_rejected(capsys, tmp_path, removed):
+    data = json.loads(save_record(generate_theorem(parse_generation_set("p, q"))))
+    data["removed_indices"] = removed
+    text = json.dumps(data)
+    with pytest.raises(MalformedRecordError):
+        load_record(text)
+    record = tmp_path / "bad.json"
+    record.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", "--record", str(record))
+    assert (code, out) == (2, "")
+    assert "removed_indices" in err
 
 
 def test_env_cap_applies(capsys, monkeypatch):

@@ -15,10 +15,9 @@ from rectatg import (
     Variable,
     parse_generation_set,
     parse_literal,
-    validate_generation_set,
 )
 
-from conftest import lit
+from conftest import lit, validate_generation_set
 
 
 def test_parse_simple_predicate():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectatg import (
     Clause,
@@ -10,15 +12,13 @@ from rectatg import (
     SizeCapError,
     complementary,
     construct_from_template,
-    construct_naive,
     negate_literal,
     parse_generation_set,
     polarity_at,
     remove_clauses,
-    validate_generation_set,
 )
 
-from conftest import lit, random_generation_set
+from conftest import construct_naive, lit, random_generation_set, validate_generation_set
 
 
 def both_routes(g):
@@ -69,6 +69,21 @@ def test_grid_matches_closed_form_polarity(n):
             positive = polarity_at(i + 1, j, n) is Marker.POSITIVE
             want = g[i] if positive else negate_literal(g[i])
             assert rect.rows[i][j] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_block_rule_matches_doubling_and_closed_form(rng):
+    g = random_generation_set(rng, max_n=8)
+    rect = construct_from_template(g)
+    assert rect.rows == construct_naive(g).rows
+    for i, row in enumerate(rect.rows):
+        neg = negate_literal(g[i])
+        for j, cell in enumerate(row):
+            positive = polarity_at(i + 1, j, g.n) is Marker.POSITIVE
+            assert cell == (g[i] if positive else neg)
+        # export_dimacs caches tokens by object identity.
+        assert len({id(cell) for cell in row}) == 2
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -16,23 +16,23 @@ from rectatg import (
     check_minimality,
     construct_from_template,
     entails,
-    implication_is_tautology,
     is_satisfiable,
     is_standard_contradiction,
     parse_generation_set,
     remove_clauses,
-    satisfies,
-    validate_generation_set,
 )
 
 from conftest import (
     clause,
     clause_set,
     evaluates_true,
+    implication_is_tautology,
     lit,
     random_clause_set,
     sat_oracle_direct,
+    satisfies,
     sc_oracle_naive,
+    validate_generation_set,
 )
 
 

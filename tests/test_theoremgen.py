@@ -10,7 +10,6 @@ from rectatg import (
     IndexOutOfRangeError,
     LiteralConjunction,
     NegatedConjunction,
-    check_mutual_equivalence,
     construct_from_template,
     generate_theorem,
     generate_theorem_with_partition,
@@ -19,7 +18,7 @@ from rectatg import (
     verify_theorem,
 )
 
-from conftest import lit, random_generation_set
+from conftest import check_mutual_equivalence, lit, random_generation_set
 
 
 def test_canonical_theorem_for_two_generators():
