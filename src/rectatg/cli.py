@@ -17,7 +17,8 @@ from .export import (
     AtomNumbering,
     export_dimacs,
     export_tptp,
-    load_record,
+    read_record,
+    rebuild_record,
     render_matrix,
     render_theorem,
     save_record,
@@ -33,8 +34,9 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_CHECK = 4
 
-# The library default of 24 atoms is far beyond what the minimality
-# sweep can chew through interactively, so the CLI caps lower.
+# The oracles need 2^k bytes for k atoms, but check also builds the
+# n x 2^n rectangle and keeps one witness of n entries per removal, so
+# the CLI caps lower than the library default of 24.
 DEFAULT_CLI_MAX_ATOMS = 20
 
 
@@ -153,17 +155,17 @@ def _load_generation_set(args: argparse.Namespace):
     return parse_generation_set(text, args.var_style)
 
 
-def _check_atom_bound(generators, max_atoms: int) -> None:
+def _check_atom_bound(n: int, max_atoms: int) -> None:
     # The rectangle has exactly one atom per generation literal, so the
     # enumeration bound can be enforced before anything is materialized.
-    if generators.n > max_atoms:
-        raise TooManyAtomsError(generators.n, max_atoms)
+    if n > max_atoms:
+        raise TooManyAtomsError(n, max_atoms)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     generators = _load_generation_set(args)
     if args.verify:
-        _check_atom_bound(generators, args.max_atoms)
+        _check_atom_bound(generators.n, args.max_atoms)
     indices = args.hypothesis if args.hypothesis is not None else (0,)
     theorem = generate_theorem_with_partition(generators, indices, args.max_n)
     if args.verify and not verify_theorem(theorem, args.max_atoms):
@@ -190,14 +192,14 @@ def cmd_rectangle(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.record is not None:
-        theorem = load_record(
-            Path(args.record).read_text(encoding="utf-8"), args.max_n
-        )
+        record = read_record(Path(args.record).read_text(encoding="utf-8"))
+        _check_atom_bound(len(record["generators"]), args.max_atoms)
+        theorem = rebuild_record(record, args.max_n)
         generators = theorem.provenance.generators
     else:
         theorem = None
         generators = _load_generation_set(args)
-    _check_atom_bound(generators, args.max_atoms)
+        _check_atom_bound(generators.n, args.max_atoms)
     rect = construct_from_template(generators, args.max_n)
     report = check_minimality(rect, args.max_atoms)
     print(report.summary())

@@ -30,7 +30,7 @@ from .logic import (
     Variable,
     collect_atoms,
 )
-from .parser import GenerationSet
+from .parser import MAX_NESTING, GenerationSet
 from .rectangle import Rectangle
 from .template import DEFAULT_MAX_LEVEL
 from .theoremgen import (
@@ -219,14 +219,20 @@ def _term_to_json(term: Term):
     }
 
 
-def _term_from_json(data) -> Term:
+def _term_from_json(data, depth: int) -> Term:
+    # depth is the parenthesis nesting the term sits at, bounded as in
+    # the parser.
     kind = data["kind"]
     if kind == "const":
         return Constant(data["name"])
     if kind == "var":
         return Variable(data["name"])
     if kind == "func":
-        return Function(data["name"], tuple(_term_from_json(a) for a in data["args"]))
+        if depth >= MAX_NESTING:
+            raise ValueError(f"terms nest more than {MAX_NESTING} parentheses deep")
+        return Function(
+            data["name"], tuple(_term_from_json(a, depth + 1) for a in data["args"])
+        )
     raise ValueError(f"unknown term kind {kind!r}")
 
 
@@ -251,7 +257,7 @@ def _literal_from_json(data) -> Literal:
     elif kind == "pred":
         atom = Pred(
             atom_data["symbol"],
-            tuple(_term_from_json(a) for a in atom_data["args"]),
+            tuple(_term_from_json(a, 1) for a in atom_data["args"]),
         )
     else:
         raise ValueError(f"unknown atom kind {kind!r}")
@@ -278,18 +284,20 @@ def save_record(theorem: Theorem) -> str:
     return json.dumps(record, ensure_ascii=False, indent=2) + "\n"
 
 
-def load_record(text: str, max_level: int = DEFAULT_MAX_LEVEL) -> Theorem:
-    """Parse a record and revalidate it by rebuilding from provenance.
+def read_record(text: str) -> dict:
+    """Parse a record's JSON and check its shape without rebuilding it.
 
-    The generators and removed indices are replayed through theorem
-    generation; if the stored premises or conclusion disagree with the
-    reconstruction, the record is rejected as malformed.  Only cap
-    violations escape as themselves.
+    Returns the decoded object: a current-version record with every
+    field present, ``generators`` a list and ``removed_indices`` a list
+    of integers.  Callers can bound the work a rebuild will take from
+    ``len(record["generators"])`` before calling ``rebuild_record``.
     """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(f"record is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise MalformedRecordError("record nests too deeply to decode") from None
     if not isinstance(data, dict):
         raise MalformedRecordError("record must be a JSON object")
     version = data.get("version")
@@ -300,17 +308,32 @@ def load_record(text: str, max_level: int = DEFAULT_MAX_LEVEL) -> Theorem:
     for key in ("generators", "removed_indices", "premises", "conclusion"):
         if key not in data:
             raise MalformedRecordError(f"record is missing the {key!r} field")
+    if not isinstance(data["generators"], list):
+        raise MalformedRecordError("generators must be a JSON list")
     indices = data["removed_indices"]
     # bool is an int subclass, so test the exact type.
     if not isinstance(indices, list) or any(type(i) is not int for i in indices):
         raise MalformedRecordError("removed_indices must be a JSON list of integers")
+    return data
+
+
+def rebuild_record(data: dict, max_level: int = DEFAULT_MAX_LEVEL) -> Theorem:
+    """Revalidate a record from ``read_record`` by rebuilding it from provenance.
+
+    The generators and removed indices are replayed through theorem
+    generation; if the stored premises or conclusion disagree with the
+    reconstruction, the record is rejected as malformed.  Only cap
+    violations escape as themselves.
+    """
     try:
         literals = [_literal_from_json(item) for item in data["generators"]]
         generators = GenerationSet(tuple(literals))
-        theorem = generate_theorem_with_partition(generators, indices, max_level)
+        theorem = generate_theorem_with_partition(
+            generators, data["removed_indices"], max_level
+        )
     except CapExceededError:
         raise
-    except (RectAtgError, ValueError, TypeError, KeyError) as exc:
+    except (RectAtgError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise MalformedRecordError(f"provenance does not rebuild: {exc}") from exc
     premises = [str(c) for c in theorem.premises]
     if data["premises"] != premises or data["conclusion"] != str(theorem.conclusion):
@@ -318,3 +341,8 @@ def load_record(text: str, max_level: int = DEFAULT_MAX_LEVEL) -> Theorem:
             "stored premises or conclusion disagree with reconstruction from provenance"
         )
     return theorem
+
+
+def load_record(text: str, max_level: int = DEFAULT_MAX_LEVEL) -> Theorem:
+    """Parse a record and revalidate it by rebuilding from provenance."""
+    return rebuild_record(read_record(text), max_level)

@@ -17,6 +17,11 @@ bare identifier inside a term is a variable or a constant is decided by
 the var-style flag: "upper" treats a leading uppercase letter as a
 variable (TPTP convention), "lower" treats identifiers starting with one
 of u, v, w, x, y, z as variables.
+
+Parentheses nest at most MAX_NESTING deep in one literal, and deeper
+input is a ParseError: rendering, hashing and comparing a term all
+recurse once per level, so an unbounded term would end in a
+RecursionError far from the input.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .errors import DuplicatePredicateError, EmptySetError, ParseError
 from .logic import Constant, Function, Literal, Pred, Prop, Term, Variable
 
 VAR_STYLES = ("upper", "lower")
+MAX_NESTING = 100
 _LOWER_STYLE_VARIABLES = "uvwxyz"
 
 _TOKEN_RE = re.compile(
@@ -124,12 +130,11 @@ class _Parser:
         head = self._advance()
         args: list[Term] | None = None
         if self._cur().kind == "LPAREN":
-            self._advance()
-            args = self._parse_arg_list(allow_empty=True)
+            args = self._parse_arg_list(allow_empty=True, depth=1)
         if self._cur().kind == "EQ":
             self._advance()
             lhs = self._head_as_term(head, args)
-            rhs = self.parse_term()
+            rhs = self.parse_term(depth=0)
             return Literal(Pred("=", (lhs, rhs)), negated)
         atom = Prop(head.text) if args is None else Pred(head.text, tuple(args))
         return Literal(atom, negated)
@@ -141,34 +146,38 @@ class _Parser:
             raise ParseError(head.pos, "a term on the left of '='", f"{head.text}()")
         return Function(head.text, tuple(args))
 
-    def _parse_arg_list(self, allow_empty: bool) -> list[Term]:
-        # The opening paren is already consumed.  Newlines are plain
-        # whitespace inside an argument list.
+    def _parse_arg_list(self, allow_empty: bool, depth: int) -> list[Term]:
+        # The current token is the opening paren, which brings the
+        # nesting to depth.  Newlines are plain whitespace inside an
+        # argument list.
+        if depth > MAX_NESTING:
+            raise self._fail(f"at most {MAX_NESTING} nested parentheses")
+        self._advance()
         self._skip_newlines()
         if allow_empty and self._cur().kind == "RPAREN":
             self._advance()
             return []
-        args = [self.parse_term()]
+        args = [self.parse_term(depth)]
         while True:
             self._skip_newlines()
             kind = self._cur().kind
             if kind == "COMMA":
                 self._advance()
                 self._skip_newlines()
-                args.append(self.parse_term())
+                args.append(self.parse_term(depth))
             elif kind == "RPAREN":
                 self._advance()
                 return args
             else:
                 raise self._fail("',' or ')'")
 
-    def parse_term(self) -> Term:
+    def parse_term(self, depth: int) -> Term:
+        """A term at the given parenthesis depth."""
         if self._cur().kind != "IDENT":
             raise self._fail("a term")
         name = self._advance().text
         if self._cur().kind == "LPAREN":
-            self._advance()
-            args = self._parse_arg_list(allow_empty=False)
+            args = self._parse_arg_list(allow_empty=False, depth=depth + 1)
             return Function(name, tuple(args))
         return self._classify_bare(name)
 

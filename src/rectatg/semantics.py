@@ -7,13 +7,25 @@ never share a predicate symbol.
 
 Two oracles live here on purpose and must not be merged:
 
-* ``is_satisfiable`` sweeps the truth table over the distinct atoms;
+* ``is_satisfiable`` covers the truth table over the distinct atoms;
 * ``is_standard_contradiction`` decides the product definition, asking
   whether every one-literal-per-clause selection contains a
   complementary pair.
 
 That the second implies UNSAT on the first is a theorem the test suite
 checks, not an identity the code assumes.
+
+The cover reads each clause as the subcube of assignments it falsifies
+(Knuth, TAOCP 7.2.2.2).  With the k distinct atoms numbered by first
+appearance and assignment m setting atom i to bit i of m, a clause with
+positive atoms ``pos`` and negated atoms ``neg`` is false exactly on
+``m ⊇ neg, m ∩ pos = ∅``: ``2^(k−|c|)`` points, where ``|c|`` counts the
+clause's distinct atoms.  A tautological clause falsifies nothing and
+the empty clause falsifies all ``2^k`` points.  Marking every subcube in
+a ``2^k``-byte array costs ``Σ_c 2^(k−|c|)`` marks; the unmarked points
+are the satisfying assignments.  The marks are counts saturated at 2,
+so ``check_minimality`` reads every single-clause removal off the same
+array.
 """
 
 from __future__ import annotations
@@ -41,42 +53,108 @@ class SatResult:
         return "SAT" if self.satisfiable else "UNSAT"
 
 
+def _clause_masks(clauses) -> tuple[tuple[Atom, ...], list[tuple[int, int]], set[int]]:
+    """Atoms in first-appearance order, one ``(pos, neg)`` bit-mask pair
+    per clause, and the indices of the clauses that hold some atom's
+    first appearance.
+
+    Atom i is bit i.  Rectangles reuse one literal object per row and
+    polarity, so literal bits are cached by identity and each atom is
+    hashed once per literal object rather than once per cell.  The ids
+    stay valid because the clauses hold every literal for the whole pass.
+    """
+    index: dict[Atom, int] = {}
+    bits: dict[int, tuple[int, int]] = {}
+    masks = []
+    firsts = set()
+    for j, clause in enumerate(clauses):
+        known = len(index)
+        pos = neg = 0
+        for lit in clause.literals:
+            hit = bits.get(id(lit))
+            if hit is None:
+                bit = 1 << index.setdefault(lit.atom, len(index))
+                hit = bits[id(lit)] = (0, bit) if lit.negated else (bit, 0)
+            pos |= hit[0]
+            neg |= hit[1]
+        masks.append((pos, neg))
+        if len(index) > known:
+            firsts.add(j)
+    return tuple(index), masks, firsts
+
+
+def _subcube(pos: int, neg: int, k: int):
+    """Slices of the ``2^k`` array that together hold the subcube the
+    clause ``(pos, neg)`` falsifies: ``m ⊇ neg`` and ``m ∩ pos = ∅``.
+
+    The longest run of free bits becomes one strided slice; the other
+    free bits are enumerated, so a clause costs ``2^(free - run)`` slices.
+    """
+    free = ((1 << k) - 1) & ~(pos | neg)
+    low = run = 0
+    for b in range(free.bit_length()):
+        r = 0
+        while free >> (b + r) & 1:
+            r += 1
+        if r > run:
+            low, run = b, r
+    step = 1 << low
+    span = step << run
+    rest = free & ~(span - step)
+    s = rest
+    while True:
+        start = neg | s
+        yield slice(start, start + span, step)
+        if not s:
+            return
+        s = (s - 1) & rest
+
+
+# Saturating increment as a translate table: 0 -> 1, 1 -> 2, 2 -> 2.
+_BUMP = bytes([1] + [2] * 255)
+
+
+def _cover(masks: list[tuple[int, int]], k: int) -> bytearray:
+    """How many clauses falsify each assignment, saturated at 2."""
+    counts = bytearray(1 << k)
+    full = (1 << k) - 1
+    for pos, neg in masks:
+        if pos & neg:
+            continue  # tautological: falsified nowhere
+        if pos | neg == full:
+            counts[neg] = _BUMP[counts[neg]]
+        else:
+            for cube in _subcube(pos, neg, k):
+                counts[cube] = counts[cube].translate(_BUMP)
+    return counts
+
+
+def _result(atoms: tuple[Atom, ...], m: int) -> SatResult:
+    """SAT with assignment m as witness, or UNSAT when m is -1."""
+    if m < 0:
+        return SatResult(False, None)
+    return SatResult(True, {atom: bool(m >> i & 1) for i, atom in enumerate(atoms)})
+
+
 def is_satisfiable(
     clause_set: ClauseSet, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> SatResult:
-    """Truth-table sweep over all assignments to the distinct atoms.
+    """Decide satisfiability by covering the truth table.
 
     Atoms are numbered by first appearance; assignment m maps atom i to
-    bit i of m.  Assignments are tried in increasing m, and the first
-    satisfying one is returned as the witness, so results are
-    reproducible.  The empty clause set is satisfiable (empty witness);
-    a set containing the empty clause never is.
+    bit i of m.  Every clause marks the assignments it falsifies in a
+    ``2^k``-byte array, and the lowest unmarked m is returned as the
+    witness, so results are reproducible.  The cost is the ``2^k``
+    bytes plus ``Σ_c 2^(k−|c|)`` marks, where ``|c|`` counts the distinct
+    atoms of clause c.  The empty clause set is satisfiable (empty
+    witness); a set containing the empty clause never is.  The atom
+    bound is checked before the array is allocated.
     """
-    atoms = collect_atoms(clause_set)
+    atoms, masks, _ = _clause_masks(clause_set)
     k = len(atoms)
     if k > max_atoms:
         raise TooManyAtomsError(k, max_atoms)
-    index = {atom: i for i, atom in enumerate(atoms)}
-    masks = []
-    for clause in clause_set:
-        pos = neg = 0
-        for lit in clause:
-            bit = 1 << index[lit.atom]
-            if lit.negated:
-                neg |= bit
-            else:
-                pos |= bit
-        masks.append((pos, neg))
-    full = (1 << k) - 1
-    for m in range(1 << k):
-        inv = m ^ full
-        for pos, neg in masks:
-            if not (m & pos) and not (inv & neg):
-                break
-        else:
-            witness = {atoms[i]: bool((m >> i) & 1) for i in range(k)}
-            return SatResult(True, witness)
-    return SatResult(False, None)
+    return _result(atoms, _cover(masks, k).find(0))
 
 
 def is_standard_contradiction(
@@ -164,15 +242,39 @@ def check_minimality(
 ) -> MinimalityReport:
     """Full rectangle must be UNSAT, every single-column removal SAT.
 
+    One cover of the truth table decides them all.  Counts saturate at
+    2, so removing column j leaves the points of its subcube with count
+    1 uncovered, besides the points no clause covers.  Removal j is SAT
+    exactly when one of those exists, and its witness is the lowest of
+    them, which is what ``is_satisfiable`` returns on the remaining
+    clauses.  That identity needs the remaining clauses to number their
+    atoms as the full set does, so a column holding some atom's first
+    appearance (column 0 of a rectangle) is decided by
+    ``is_satisfiable`` on what is left.  Cost: one ``2^k``-byte array and
+    ``Σ_c 2^(k−|c|)`` marks, plus the subcube scans of the removals.
+
     Each removal result carries its witness so callers can re-check it
     against the remaining clauses.
     """
-    full = is_satisfiable(rect.clause_set(), max_atoms)
-    removals = tuple(
-        is_satisfiable(remove_clauses(rect, (j,)), max_atoms)
-        for j in range(rect.width)
-    )
-    return MinimalityReport(full, removals)
+    atoms, masks, firsts = _clause_masks(rect.clauses)
+    k = len(atoms)
+    if k > max_atoms:
+        raise TooManyAtomsError(k, max_atoms)
+    counts = _cover(masks, k)
+    zero = counts.find(0)
+    removals = []
+    for j, (pos, neg) in enumerate(masks):
+        if j in firsts:
+            removals.append(is_satisfiable(remove_clauses(rect, (j,)), max_atoms))
+            continue
+        m = zero
+        if not pos & neg:  # a tautology uncovers nothing
+            for cube in _subcube(pos, neg, k):
+                t = counts[cube].find(1)
+                if t >= 0 and (m < 0 or cube.start + t * cube.step < m):
+                    m = cube.start + t * cube.step
+        removals.append(_result(atoms, m))
+    return MinimalityReport(_result(atoms, zero), tuple(removals))
 
 
 def entails(

@@ -2,9 +2,10 @@
 
 The oracles here deliberately re-derive results through different
 algorithms than the package uses: full product enumeration instead of
-pruned search, direct dictionary evaluation instead of bit masks,
-block arithmetic instead of bit tests, and level-by-level doubling
-instead of the block rule.  Tests lean on them to cross check derived
+pruned search, a linear truth-table sweep and direct dictionary
+evaluation instead of the falsified-subcube cover, block arithmetic
+instead of bit tests, and level-by-level doubling instead of the block
+rule.  Tests lean on them to cross check derived
 values.
 """
 
@@ -25,6 +26,7 @@ from rectatg import (
     Pred,
     Prop,
     Rectangle,
+    SatResult,
     SizeCapError,
     TooManyAtomsError,
     Variable,
@@ -83,6 +85,42 @@ def sat_oracle_direct(clauses):
         if ok:
             return env
     return None
+
+
+def sat_oracle_sweep(clause_set, max_atoms=DEFAULT_MAX_ATOMS) -> SatResult:
+    """Linear truth-table sweep, the package's former ``is_satisfiable``.
+
+    Atoms are numbered by first appearance; assignment m maps atom i to
+    bit i of m.  Assignments are tried in increasing m against every
+    clause mask, and the first satisfying one is the witness.  The
+    package's cover must return the same verdict and the same witness,
+    key order included.
+    """
+    atoms = collect_atoms(clause_set)
+    k = len(atoms)
+    if k > max_atoms:
+        raise TooManyAtomsError(k, max_atoms)
+    index = {atom: i for i, atom in enumerate(atoms)}
+    masks = []
+    for clause in clause_set:
+        pos = neg = 0
+        for lit in clause:
+            bit = 1 << index[lit.atom]
+            if lit.negated:
+                neg |= bit
+            else:
+                pos |= bit
+        masks.append((pos, neg))
+    full = (1 << k) - 1
+    for m in range(1 << k):
+        inv = m ^ full
+        for pos, neg in masks:
+            if not (m & pos) and not (inv & neg):
+                break
+        else:
+            witness = {atoms[i]: bool((m >> i) & 1) for i in range(k)}
+            return SatResult(True, witness)
+    return SatResult(False, None)
 
 
 def evaluates_true(env, clauses) -> bool:

@@ -11,8 +11,9 @@ from rectatg import (
     parse_generation_set,
     save_record,
 )
-from rectatg import cli
+from rectatg import cli, export
 from rectatg.cli import main
+from rectatg.parser import MAX_NESTING
 
 THEOREM_TEXT = "¬p ∨ q\np ∨ ¬q\n¬p ∨ ¬q\n⊢ ¬p ∧ ¬q\n"
 DIMACS_TWO_GENERATORS = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
@@ -151,6 +152,78 @@ def test_ill_typed_removed_indices_are_rejected(capsys, tmp_path, removed):
     code, out, err = run(capsys, "check", "--record", str(record))
     assert (code, out) == (2, "")
     assert "removed_indices" in err
+
+
+def test_check_record_refuses_too_many_atoms_before_rebuilding(
+    capsys, monkeypatch, tmp_path
+):
+    record = tmp_path / "five.json"
+    record.write_text(
+        save_record(generate_theorem(parse_generation_set("p, q, r, s, t"))),
+        encoding="utf-8",
+    )
+
+    def must_not_rebuild(*args, **kwargs):
+        raise AssertionError("the record was rebuilt before the atom bound was checked")
+
+    monkeypatch.setattr(export, "generate_theorem_with_partition", must_not_rebuild)
+    code, out, err = run(capsys, "check", "--record", str(record), "--max-atoms", "4")
+    assert (code, out) == (3, "")
+    assert err == "error: 5 distinct atoms exceed the enumeration bound 4\n"
+
+
+def nested(depth: int) -> str:
+    """P applied to a term with depth pairs of parentheses in all."""
+    return "P(" + "f(" * (depth - 1) + "a" + ")" * depth
+
+
+def test_deepest_allowed_term_round_trips_through_a_record(capsys, tmp_path):
+    code, out, err = run(capsys, "generate", "-l", f"{nested(MAX_NESTING)}, q", "-o", "json")
+    assert (code, err) == (0, "")
+    record = tmp_path / "deep.json"
+    record.write_text(out, encoding="utf-8")
+    code, out, err = run(capsys, "check", "--record", str(record))
+    assert (code, err) == (0, "")
+    assert out == "full: UNSAT; removals: 4/4 SAT\ntheorem: verified\n"
+
+
+def test_deeply_nested_term_is_a_parse_error(capsys, tmp_path):
+    source = tmp_path / "deep.txt"
+    source.write_text(nested(3000) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "generate", "-f", str(source))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: at position ")
+    assert f"at most {MAX_NESTING} nested parentheses" in err
+    code, _, err = run(capsys, "generate", "-l", nested(MAX_NESTING + 1))
+    assert code == 2
+    assert "nested parentheses" in err
+
+
+def test_deeply_nested_record_is_malformed(capsys, tmp_path):
+    data = json.loads(save_record(generate_theorem(parse_generation_set("p, q"))))
+    text = json.dumps(data).replace(
+        '"generators": [', '"generators": ' + "[" * 200_000 + "]" * 200_000 + ", ["
+    )
+    record = tmp_path / "deep.json"
+    record.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedRecordError):
+        load_record(text)
+    code, out, err = run(capsys, "check", "--record", str(record))
+    assert (code, out) == (2, "")
+    assert err == "error: record nests too deeply to decode\n"
+
+
+def test_record_term_nested_past_the_parser_bound_is_malformed(capsys, tmp_path):
+    data = json.loads(save_record(generate_theorem(parse_generation_set("P(a)"))))
+    term = {"kind": "const", "name": "a"}
+    for _ in range(MAX_NESTING):
+        term = {"kind": "func", "name": "f", "args": [term]}
+    data["generators"][0]["atom"]["args"] = [term]
+    record = tmp_path / "deep.json"
+    record.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "check", "--record", str(record))
+    assert (code, out) == (2, "")
+    assert f"more than {MAX_NESTING} parentheses deep" in err
 
 
 def test_env_cap_applies(capsys, monkeypatch):

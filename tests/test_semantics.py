@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from rectatg import (
     Clause,
     ClauseSet,
+    Constant,
     EMPTY_CLAUSE,
     Literal,
+    Pred,
     ProductTooLargeError,
     Prop,
+    Rectangle,
+    Variable,
     TooManyAtomsError,
     check_minimality,
     construct_from_template,
@@ -29,7 +33,9 @@ from conftest import (
     implication_is_tautology,
     lit,
     random_clause_set,
+    random_generation_set,
     sat_oracle_direct,
+    sat_oracle_sweep,
     satisfies,
     sc_oracle_naive,
     validate_generation_set,
@@ -205,3 +211,113 @@ def test_implication_sweep_respects_atom_bound():
         implication_is_tautology(
             remove_clauses(rect, (0,)), ClauseSet([rect.clauses[0]]), max_atoms=3
         )
+
+
+# Six opaque atoms, first-order ones included; P(a) and P(X) are
+# different atoms to the oracles.
+ATOMS = (
+    Prop("p"),
+    Pred("P", (Constant("a"),)),
+    Prop("q"),
+    Pred("P", (Variable("X"),)),
+    Pred("=", (Constant("a"), Constant("b"))),
+    Prop("r"),
+)
+
+
+@st.composite
+def clause_sets(draw):
+    """Clause sets over 0-6 atoms: empty, unit, short, tautological and
+    repeated clauses, with fresh literal objects for equal literals."""
+    k = draw(st.integers(0, len(ATOMS)))
+    atoms = draw(st.permutations(ATOMS))[:k]
+    if atoms:
+        literal = st.builds(Literal, st.sampled_from(atoms), st.booleans())
+        clause = st.lists(literal, max_size=5).map(Clause)
+    else:
+        clause = st.just(EMPTY_CLAUSE)
+    clauses = draw(st.lists(clause, max_size=10))
+    if clauses:
+        repeats = draw(st.lists(st.sampled_from(clauses), max_size=3))
+        for c in repeats:
+            clauses.insert(draw(st.integers(0, len(clauses))), c)
+    return ClauseSet(clauses)
+
+
+def same_result(got, want):
+    return got.satisfiable == want.satisfiable and (
+        got.witness is None
+        if want.witness is None
+        else got.witness is not None
+        and list(got.witness.items()) == list(want.witness.items())
+    )
+
+
+@settings(max_examples=300)
+@given(clause_sets())
+def test_cover_returns_the_sweep_result_key_order_included(s):
+    got = is_satisfiable(s)
+    assert same_result(got, sat_oracle_sweep(s))
+    assert got.satisfiable == (sat_oracle_direct(s) is not None)
+    if got.satisfiable:
+        assert evaluates_true(got.witness, s)
+
+
+def assert_removals_match_sweep(rect):
+    report = check_minimality(rect)
+    assert same_result(report.full, sat_oracle_sweep(rect.clause_set()))
+    assert len(report.removals) == rect.width
+    for j, result in enumerate(report.removals):
+        rest = remove_clauses(rect, (j,))
+        assert same_result(result, sat_oracle_sweep(rest)), j
+        # The dict oracle costs seconds per removal sweep at n = 8.
+        if rect.n <= 6:
+            assert result.satisfiable == (sat_oracle_direct(rest) is not None)
+
+
+@pytest.mark.parametrize("first_order", (False, True))
+@settings(max_examples=12, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_minimality_removals_match_sweep_on_rectangles(first_order, rng):
+    g = random_generation_set(rng, max_n=8, first_order=first_order)
+    rect = construct_from_template(g)
+    assert_removals_match_sweep(rect)
+    assert check_minimality(rect).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_minimality_removals_match_sweep_on_reordered_duplicate_columns(rng, data):
+    # Columns repeated, dropped and reordered: duplicated columns stay
+    # UNSAT on removal, and the first column may no longer hold every
+    # atom's first appearance.
+    g = random_generation_set(rng, max_n=5)
+    rect = construct_from_template(g)
+    cols = data.draw(
+        st.lists(st.integers(0, rect.width - 1), min_size=1, max_size=2 * rect.width)
+    )
+    rows = [[row[j] for j in cols] for row in rect.rows]
+    assert_removals_match_sweep(Rectangle(g, rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_minimality_removals_match_sweep_on_arbitrary_grids(data):
+    # Any literal in any cell: columns repeat atoms, miss atoms or hold
+    # both polarities, so removals are read off subcubes wider than a point.
+    n = data.draw(st.integers(1, 4))
+    g = validate_generation_set([lit(f"g{i}") for i in range(n)])
+    atoms = data.draw(st.permutations(ATOMS))[: data.draw(st.integers(1, 4))]
+    cell = st.builds(Literal, st.sampled_from(atoms), st.booleans())
+    width = data.draw(st.integers(1, 10))
+    rows = [data.draw(st.lists(cell, min_size=width, max_size=width)) for _ in range(n)]
+    assert_removals_match_sweep(Rectangle(g, rows))
+
+
+def test_minimality_at_twelve_generators():
+    rect = rect_for(", ".join(f"p{i}" for i in range(12)))
+    report = check_minimality(rect)
+    assert report.ok
+    assert report.summary() == "full: UNSAT; removals: 4096/4096 SAT"
+    for j in (0, 1, 2047, 4095):
+        assert evaluates_true(report.removals[j].witness, remove_clauses(rect, (j,)))

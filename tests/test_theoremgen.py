@@ -173,3 +173,8 @@ def test_theorem_conclusion_matches_negated_column_zero():
     rebuilt = Clause(tuple(lit(s) for s in ("p", "q", "r")))
     assert t.hypothesis_clauses[0] == rebuilt
     assert hypothesis_from_conclusion(t.conclusion)[0] == rebuilt
+
+
+def test_canonical_theorem_at_sixteen_generators_verifies():
+    g = parse_generation_set(", ".join(f"p{i}" for i in range(16)))
+    assert verify_theorem(generate_theorem(g))
