@@ -67,6 +67,7 @@ from .semantics import (
     DEFAULT_MAX_PRODUCT,
     Assignment,
     MinimalityReport,
+    Removals,
     SatResult,
     check_minimality,
     entails,

@@ -34,9 +34,9 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_CHECK = 4
 
-# The oracles need 2^k bytes for k atoms, but check also builds the
-# n x 2^n rectangle and keeps one witness of n entries per removal, so
-# the CLI caps lower than the library default of 24.
+# The oracles need 2^k bytes for k atoms, but check and --verify also
+# build the clauses of the n x 2^n rectangle, and check keeps a witness
+# index per removal, so the CLI caps lower than the library default of 24.
 DEFAULT_CLI_MAX_ATOMS = 20
 
 
@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--verify",
         action="store_true",
-        help="run the truth-table entailment check before printing",
+        help="decide the entailment with the falsified-cube cover oracle "
+        "before printing",
     )
     gen.add_argument(
         "--max-atoms",
@@ -126,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-atoms",
         type=int,
         default=DEFAULT_CLI_MAX_ATOMS,
-        help=f"truth-table enumeration bound (default {DEFAULT_CLI_MAX_ATOMS})",
+        help="atom bound for the satisfiability oracle, which allocates 2^k "
+        f"bytes for k atoms (default {DEFAULT_CLI_MAX_ATOMS})",
     )
 
     return parser

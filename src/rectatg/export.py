@@ -3,6 +3,13 @@
 Formats are deterministic down to the byte for a fixed input.  DIMACS
 numbering is handed in explicitly through an AtomNumbering so callers
 control the variable order; rectangles number row i as variable i.
+
+Writers read clause text through ``ClauseSet.texts`` and the matrix
+through ``Rectangle.column_texts``.  For a closed-form rectangle and the
+premises cut from it, both render one token per row and polarity and
+join column texts from two half-tables, so emitting builds no Clause
+object and calls ``str`` or the token lookup 2n times, not once per
+cell.  Every writer returns the whole text as one ``str``.
 """
 
 from __future__ import annotations
@@ -84,12 +91,30 @@ def render_matrix(rect: Rectangle) -> str:
     Cells are padded to their column's width and joined with two spaces,
     so columns stay readable even when first-order cells contain single
     spaces of their own.
+
+    The grid is read through ``Rectangle.column_texts`` with a one-character
+    code per distinct literal and no separator, so column j is an n-character
+    string and row i of the concatenated columns is every n-th character
+    from i.  Each literal is rendered once.
     """
-    cells = [[str(lit) for lit in row] for row in rect.rows]
-    widths = [max(len(cell) for cell in col) for col in zip(*cells)]
+    codes: dict[Literal, str] = {}
+    text_of: dict[str, str] = {}
+
+    def code(lit: Literal) -> str:
+        found = codes.get(lit)
+        if found is None:
+            found = codes[lit] = chr(len(codes))
+            text_of[found] = str(lit)
+        return found
+
+    columns = list(rect.column_texts(code, ""))
+    width_of = {c: len(text) for c, text in text_of.items()}
+    widths = [max(map(width_of.__getitem__, col)) for col in columns]
+    grid = "".join(columns)
+    n = rect.n
     return "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in cells
+        "  ".join(map(str.ljust, map(text_of.__getitem__, grid[i::n]), widths)).rstrip()
+        for i in range(n)
     )
 
 
@@ -104,20 +129,12 @@ def export_dimacs(clause_set: ClauseSet, numbering: AtomNumbering) -> str:
         for i, atom in enumerate(numbering.atoms, start=1):
             lines.append(f"c {i} {atom}")
     lines.append(f"p cnf {len(numbering)} {len(clause_set)}")
-    # Rectangles reuse one literal object per row and polarity, so an
-    # identity cache spares re-hashing nested atoms on every cell.
-    token_cache: dict[int, str] = {}
-    for clause in clause_set:
-        parts = []
-        for lit in clause.literals:
-            token = token_cache.get(id(lit))
-            if token is None:
-                number = numbering.number(lit.atom)
-                token = f"-{number}" if lit.negated else str(number)
-                token_cache[id(lit)] = token
-            parts.append(token)
-        parts.append("0")
-        lines.append(" ".join(parts))
+
+    def token(lit: Literal) -> str:
+        number = numbering.number(lit.atom)
+        return f"-{number}" if lit.negated else str(number)
+
+    lines.extend(f"{text} 0" if text else "0" for text in clause_set.texts(token, " "))
     return "\n".join(lines) + "\n"
 
 
@@ -150,9 +167,15 @@ def _tptp_literal(lit: Literal) -> str:
     return f"~{rendered}" if lit.negated else rendered
 
 
+def _tptp_clause_text(text: str) -> str:
+    # Literal text never holds "|", so the separator shows up exactly
+    # when the clause has two or more literals.  Those clauses, and the
+    # empty one, get parentheses.
+    return text if text and "|" not in text else f"({text})"
+
+
 def _tptp_clause(clause) -> str:
-    parts = [_tptp_literal(l) for l in clause.literals]
-    return parts[0] if len(parts) == 1 else f"({' | '.join(parts)})"
+    return _tptp_clause_text(" | ".join(map(_tptp_literal, clause.literals)))
 
 
 def _collect_variables(term: Term, seen: dict[str, None]) -> None:
@@ -191,18 +214,25 @@ def export_tptp(theorem: Theorem) -> str:
     (cnf reads them as universally quantified); the fof conjecture is
     closed with an explicit universal block when variables occur.
     """
-    width = max(4, len(str(len(theorem.premises))))
+    premises = theorem.premises
+    width = max(4, len(str(len(premises))))
     lines = [
-        f"cnf(premise_{i:0{width}d}, axiom, {_tptp_clause(clause)})."
-        for i, clause in enumerate(theorem.premises, start=1)
+        f"cnf(premise_{i:0{width}d}, axiom, {_tptp_clause_text(text)})."
+        for i, text in enumerate(premises.texts(_tptp_literal, " | "), start=1)
     ]
     lines.append(f"fof(conclusion, conjecture, {_conjecture_formula(theorem)}).")
     return "\n".join(lines) + "\n"
 
 
+def _clause_texts(clause_set: ClauseSet) -> list[str]:
+    """``str`` of each clause, the empty clause included, without building
+    the clauses of a rectangle view."""
+    return [text or "□" for text in clause_set.texts(str, " ∨ ")]
+
+
 def render_theorem(theorem: Theorem) -> str:
     """Plain text: one premise per line, then the turnstile line."""
-    lines = [str(clause) for clause in theorem.premises]
+    lines = _clause_texts(theorem.premises)
     lines.append(f"⊢ {theorem.conclusion}")
     return "\n".join(lines) + "\n"
 
@@ -278,7 +308,7 @@ def save_record(theorem: Theorem) -> str:
         "version": SCHEMA_VERSION,
         "generators": [_literal_to_json(l) for l in theorem.provenance.generators],
         "removed_indices": list(theorem.provenance.removed_indices),
-        "premises": [str(c) for c in theorem.premises],
+        "premises": _clause_texts(theorem.premises),
         "conclusion": str(theorem.conclusion),
     }
     return json.dumps(record, ensure_ascii=False, indent=2) + "\n"
@@ -298,10 +328,14 @@ def read_record(text: str) -> dict:
         raise MalformedRecordError(f"record is not valid JSON: {exc}") from exc
     except RecursionError:
         raise MalformedRecordError("record nests too deeply to decode") from None
+    except ValueError:
+        # CPython refuses to convert integers of more than 4300 digits.
+        raise MalformedRecordError("record holds a number too long to decode") from None
     if not isinstance(data, dict):
         raise MalformedRecordError("record must be a JSON object")
     version = data.get("version")
-    if version != SCHEMA_VERSION:
+    # 1.0 and true both equal 1, so test the exact type.
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaMismatchError(
             f"record version {version!r} is not supported (expected {SCHEMA_VERSION})"
         )
@@ -335,7 +369,7 @@ def rebuild_record(data: dict, max_level: int = DEFAULT_MAX_LEVEL) -> Theorem:
         raise
     except (RectAtgError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise MalformedRecordError(f"provenance does not rebuild: {exc}") from exc
-    premises = [str(c) for c in theorem.premises]
+    premises = _clause_texts(theorem.premises)
     if data["premises"] != premises or data["conclusion"] != str(theorem.conclusion):
         raise MalformedRecordError(
             "stored premises or conclusion disagree with reconstruction from provenance"

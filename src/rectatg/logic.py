@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import EmptyClauseError
 
@@ -212,6 +212,12 @@ class ClauseSet:
 
     def __getitem__(self, i):
         return self.clauses[i]
+
+    def texts(self, token: Callable[[Literal], str], sep: str) -> Iterator[str]:
+        """Each clause's literals rendered by ``token`` and joined by ``sep``,
+        in clause order.  The empty clause gives the empty string."""
+        for clause in self.clauses:
+            yield sep.join(map(token, clause.literals))
 
     def __repr__(self) -> str:
         return f"ClauseSet([{', '.join(str(c) for c in self.clauses)}])"

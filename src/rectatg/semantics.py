@@ -30,6 +30,7 @@ array.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Dict
 
@@ -221,19 +222,56 @@ def is_standard_contradiction(
     return not clash_free_completion(0)
 
 
+class Removals(Sequence):
+    """Results of the single-clause removals, built when read.
+
+    Removal j is stored as one witness index over the full set's atoms,
+    -1 for UNSAT: an int per removal where a witness dict would hold n
+    entries.  The few removals decided on their own clause set keep
+    their SatResult; their stored index only tells -1 (UNSAT) apart, for
+    the count.
+    """
+
+    __slots__ = ("_atoms", "_witnesses", "_decided")
+
+    def __init__(
+        self,
+        atoms: tuple[Atom, ...],
+        witnesses: list[int],
+        decided: dict[int, SatResult],
+    ):
+        self._atoms = atoms
+        self._witnesses = witnesses
+        self._decided = decided
+
+    def __len__(self) -> int:
+        return len(self._witnesses)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[i] for i in range(len(self))[j])
+        j = range(len(self))[j]  # IndexError and negative indices as for a tuple
+        decided = self._decided.get(j)
+        return decided if decided is not None else _result(self._atoms, self._witnesses[j])
+
+    def sat_count(self) -> int:
+        """How many removals are SAT, without building their results."""
+        return len(self._witnesses) - self._witnesses.count(-1)
+
+
 @dataclass(frozen=True)
 class MinimalityReport:
     """Outcome of the full-set check plus every single-clause removal."""
 
     full: SatResult
-    removals: tuple[SatResult, ...]
+    removals: Removals
 
     @property
     def ok(self) -> bool:
-        return not self.full.satisfiable and all(r.satisfiable for r in self.removals)
+        return not self.full.satisfiable and self.removals.sat_count() == len(self.removals)
 
     def summary(self) -> str:
-        sat = sum(1 for r in self.removals if r.satisfiable)
+        sat = self.removals.sat_count()
         return f"full: {self.full.verdict}; removals: {sat}/{len(self.removals)} SAT"
 
 
@@ -254,7 +292,8 @@ def check_minimality(
     ``Σ_c 2^(k−|c|)`` marks, plus the subcube scans of the removals.
 
     Each removal result carries its witness so callers can re-check it
-    against the remaining clauses.
+    against the remaining clauses.  The report keeps one witness index
+    per removal and builds each result when it is read.
     """
     atoms, masks, firsts = _clause_masks(rect.clauses)
     k = len(atoms)
@@ -262,10 +301,12 @@ def check_minimality(
         raise TooManyAtomsError(k, max_atoms)
     counts = _cover(masks, k)
     zero = counts.find(0)
-    removals = []
+    witnesses = []
+    decided = {}
     for j, (pos, neg) in enumerate(masks):
         if j in firsts:
-            removals.append(is_satisfiable(remove_clauses(rect, (j,)), max_atoms))
+            result = decided[j] = is_satisfiable(remove_clauses(rect, (j,)), max_atoms)
+            witnesses.append(0 if result.satisfiable else -1)
             continue
         m = zero
         if not pos & neg:  # a tautology uncovers nothing
@@ -273,8 +314,8 @@ def check_minimality(
                 t = counts[cube].find(1)
                 if t >= 0 and (m < 0 or cube.start + t * cube.step < m):
                     m = cube.start + t * cube.step
-        removals.append(_result(atoms, m))
-    return MinimalityReport(_result(atoms, zero), tuple(removals))
+        witnesses.append(m)
+    return MinimalityReport(_result(atoms, zero), Removals(atoms, witnesses, decided))
 
 
 def entails(

@@ -5,6 +5,12 @@ the contradiction into a valid entailment: A proves the negation of the
 conjunction of H.  The canonical split removes column 0 (the generation
 clause itself), which flattens to the conjunction of the complements of
 the generation literals.
+
+A theorem's premises are a view of the closed-form rectangle minus the
+hypothesis columns: writers render them through ``ClauseSet.texts``
+without building a Clause, and the Clause tuple is built only when an
+oracle or a caller iterates them.  Only the hypothesis columns are
+built up front.
 """
 
 from __future__ import annotations
@@ -81,7 +87,8 @@ def generate_theorem_with_partition(
     """Split the rectangle at the given column indices.
 
     The selected columns become the hypothesis H (in ascending index
-    order), everything else stays premise-side in construction order.
+    order), everything else stays premise-side in construction order, as
+    a view of the rectangle (see ``remove_clauses``).
     The conclusion is the negation of the conjunction of H, flattened to
     a literal conjunction when H is a single clause.  Selecting every
     column is allowed and leaves no premises.
@@ -94,7 +101,7 @@ def generate_theorem_with_partition(
         if not 0 <= j < width:
             raise IndexOutOfRangeError(f"column {j} not in 0..{width - 1}")
     rect = construct_from_template(generators, max_level)
-    hypothesis = tuple(rect.clauses[j] for j in indices)
+    hypothesis = tuple(Clause(rect.column(j)) for j in indices)
     premises = remove_clauses(rect, indices)
     if len(hypothesis) == 1:
         conclusion: Conclusion = LiteralConjunction(negate_clause(hypothesis[0]))
@@ -125,8 +132,9 @@ def verify_theorem(theorem: Theorem, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool
 
     The conclusion is taken at face value: whatever it asserts the
     negation of is conjoined with the premises and refuted by the
-    truth-table oracle.  A tampered conclusion therefore fails unless it
-    happens to be entailed as well.
+    falsified-cube cover oracle (``semantics.is_satisfiable``).  A
+    tampered conclusion therefore fails unless it happens to be entailed
+    as well.
     """
     return entails(
         theorem.premises, hypothesis_from_conclusion(theorem.conclusion), max_atoms

@@ -154,6 +154,17 @@ def test_ill_typed_removed_indices_are_rejected(capsys, tmp_path, removed):
     assert "removed_indices" in err
 
 
+def test_oversized_integer_in_a_record_is_an_input_error(capsys, tmp_path):
+    text = save_record(generate_theorem(parse_generation_set("p, q")))
+    huge = '"removed_indices": [' + "1" * 4301 + "]"
+    text = text.replace('"removed_indices": [\n    0\n  ]', huge)
+    record = tmp_path / "huge.json"
+    record.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", "--record", str(record))
+    assert (code, out) == (2, "")
+    assert err == "error: record holds a number too long to decode\n"
+
+
 def test_check_record_refuses_too_many_atoms_before_rebuilding(
     capsys, monkeypatch, tmp_path
 ):

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectatg import (
     AtomNumbering,
@@ -9,6 +12,7 @@ from rectatg import (
     ClauseSet,
     MalformedRecordError,
     Prop,
+    RectAtgError,
     SchemaMismatchError,
     UnnumberedAtomError,
     construct_from_template,
@@ -23,9 +27,11 @@ from rectatg import (
     render_matrix,
     render_theorem,
     save_record,
+    verify_theorem,
 )
+from rectatg import export
 
-from conftest import clause, clause_set, lit
+from conftest import clause, clause_set, construct_naive, lit, random_generation_set
 
 DIMACS_TWO_GENERATORS = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
 
@@ -243,3 +249,132 @@ def test_record_with_bad_provenance_rejected():
     data["removed_indices"] = []
     with pytest.raises(MalformedRecordError):
         load_record(json.dumps(data))
+
+
+def _tptp_clause_reference(c):
+    parts = [export._tptp_literal(l) for l in c.literals]
+    return parts[0] if len(parts) == 1 else f"({' | '.join(parts)})"
+
+
+@pytest.mark.parametrize("first_order", (False, True))
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_writers_agree_on_closed_form_explicit_rows_and_clause_objects(
+    first_order, rng, data
+):
+    g = random_generation_set(rng, max_n=8, first_order=first_order)
+    closed, explicit = construct_from_template(g), construct_naive(g)
+    numbering = AtomNumbering.from_rectangle(closed)
+    assert render_matrix(closed) == render_matrix(explicit)
+    plain = ClauseSet(explicit.clauses)
+    want = export_dimacs(plain, numbering)
+    assert export_dimacs(closed.clause_set(), numbering) == want
+    assert export_dimacs(explicit.clause_set(), numbering) == want
+
+    hyp = data.draw(st.lists(st.integers(0, closed.width - 1), min_size=1, max_size=8))
+    t = generate_theorem_with_partition(g, hyp)
+    on_rows = dataclasses.replace(t, premises=remove_clauses(explicit, hyp))
+    on_clauses = dataclasses.replace(t, premises=ClauseSet(tuple(on_rows.premises)))
+    texts = [str(c) for c in on_clauses.premises]
+    want = "".join(f"{x}\n" for x in texts) + f"⊢ {t.conclusion}\n"
+    assert render_theorem(t) == want
+    tptp = [_tptp_clause_reference(c) for c in on_clauses.premises]
+    lines = export_tptp(t).splitlines()[:-1]
+    assert [line.split(", ", 2)[2][:-2] for line in lines] == tptp
+    assert json.loads(save_record(t))["premises"] == texts
+    for writer in (render_theorem, export_tptp, save_record):
+        assert writer(t) == writer(on_rows) == writer(on_clauses)
+    want = export_dimacs(on_clauses.premises, numbering)
+    assert export_dimacs(t.premises, numbering) == want
+    # Rendering the closed form built no Clause and laid out no row.
+    assert t.premises._kept is None
+    assert t.premises.rect._clauses is None and t.premises.rect._rows is None
+    assert closed._clauses is None and closed._rows is None
+
+
+def test_replaced_premises_are_rendered_and_verified():
+    t = generate_theorem(parse_generation_set("p, q, r"))
+    swapped = dataclasses.replace(t, premises=ClauseSet(reversed(tuple(t.premises))))
+    lines = render_theorem(t).splitlines()
+    assert render_theorem(swapped).splitlines() == lines[-2::-1] + lines[-1:]
+    assert json.loads(save_record(swapped))["premises"] == lines[-2::-1]
+    assert verify_theorem(swapped)
+    shorter = dataclasses.replace(t, premises=ClauseSet(tuple(t.premises)[1:]))
+    assert render_theorem(shorter).splitlines() == lines[1:]
+    assert export_tptp(shorter).count("axiom") == len(lines) - 2
+    assert not verify_theorem(shorter)
+
+
+def test_empty_clause_renders_in_every_writer():
+    t = generate_theorem(parse_generation_set("p"))
+    odd = dataclasses.replace(t, premises=ClauseSet((Clause(()), Clause((lit("p"),)))))
+    assert render_theorem(odd) == "□\np\n⊢ ¬p\n"
+    assert json.loads(save_record(odd))["premises"] == ["□", "p"]
+    assert export_tptp(odd).splitlines()[:2] == [
+        "cnf(premise_0001, axiom, ()).",
+        "cnf(premise_0002, axiom, p).",
+    ]
+    numbering = AtomNumbering((Prop("p"),))
+    assert export_dimacs(odd.premises, numbering) == "p cnf 1 2\n0\n1 0\n"
+
+
+def test_oversized_integer_in_a_record_is_malformed():
+    t = generate_theorem(parse_generation_set("p, q"))
+    huge = '"removed_indices": [' + "9" * 5000 + "]"
+    text = save_record(t).replace('"removed_indices": [\n    0\n  ]', huge)
+    assert "9" * 5000 in text
+    with pytest.raises(MalformedRecordError, match="too long"):
+        load_record(text)
+
+
+def test_version_must_be_the_integer_one():
+    data = json.loads(save_record(generate_theorem(parse_generation_set("p"))))
+    for version in (1.0, True, "1"):
+        data["version"] = version
+        with pytest.raises(SchemaMismatchError):
+            load_record(json.dumps(data))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_RECORD = json.loads(save_record(generate_theorem_with_partition(
+    parse_generation_set("p, ~Q(a, f(X)), R(g(b, h(c)))"), (0, 5)
+)))
+
+
+def _record_fields(node, path=()):
+    """Every field of the record, generator fields and nested terms included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _record_fields(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield path + (i,)
+            yield from _record_fields(value, path + (i,))
+
+
+_FIELDS = list(_record_fields(_RECORD))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_FIELDS), _JSON)
+def test_arbitrary_json_in_any_record_field_raises_only_package_errors(path, value):
+    data = json.loads(json.dumps(_RECORD))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        load_record(json.dumps(data))
+    except RectAtgError:
+        pass
+
+
+def test_record_fields_cover_every_generator_field():
+    names = {path[-1] for path in _FIELDS if path[0] == "generators"}
+    assert {"atom", "kind", "name", "args", "symbol", "negated"} <= names

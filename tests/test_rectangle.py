@@ -82,7 +82,7 @@ def test_block_rule_matches_doubling_and_closed_form(rng):
         for j, cell in enumerate(row):
             positive = polarity_at(i + 1, j, g.n) is Marker.POSITIVE
             assert cell == (g[i] if positive else neg)
-        # export_dimacs caches tokens by object identity.
+        # Each row reuses one literal object per polarity.
         assert len({id(cell) for cell in row}) == 2
 
 
@@ -143,3 +143,48 @@ def test_shape_properties():
     assert rect.n == 4
     assert rect.width == 16
     assert len(rect.clause_set()) == 16
+
+
+def _drops(data, width):
+    return frozenset(data.draw(st.lists(st.integers(0, width - 1), max_size=width)))
+
+
+@pytest.mark.parametrize("first_order", (False, True))
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_closed_form_column_texts_match_explicit_rows(first_order, rng, data):
+    g = random_generation_set(rng, max_n=8, first_order=first_order)
+    closed, explicit = construct_from_template(g), construct_naive(g)
+    drop = _drops(data, closed.width)
+    for token, sep in ((str, " ∨ "), (repr, ""), (lambda l: str(l.negated), "|")):
+        want = list(explicit.column_texts(token, sep, drop))
+        assert list(closed.column_texts(token, sep, drop)) == want
+        assert len(want) == explicit.width - len(drop)
+    assert closed._rows is None and closed._clauses is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_column_view_matches_the_clause_tuple(rng, data):
+    g = random_generation_set(rng, max_n=6)
+    rect = construct_from_template(g)
+    drop = _drops(data, rect.width)
+    view = remove_clauses(rect, drop)
+    assert len(view) == rect.width - len(drop)
+    assert view._kept is None and rect._clauses is None
+    want = tuple(c for j, c in enumerate(construct_naive(g).clauses) if j not in drop)
+    assert view.clauses == want
+    assert [c.literals for c in view] == [c.literals for c in want]
+    # Clauses already built by the rectangle are shared, not rebuilt.
+    built = [c for j, c in enumerate(rect.clauses) if j not in drop]
+    again = remove_clauses(rect, drop)
+    assert len(again.clauses) == len(built)
+    assert all(a is b for a, b in zip(again.clauses, built))
+
+
+def test_closed_form_builds_nothing_until_asked():
+    rect = construct_from_template(parse_generation_set("p, ~q, R(f(X))"))
+    assert rect._rows is None and rect._clauses is None
+    assert rect.n == 3 and rect.width == 8
+    assert rect.column(5) == construct_naive(rect.generators).column(5)
+    assert rect._rows is None and rect._clauses is None

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import random
 
 import pytest
@@ -321,3 +322,24 @@ def test_minimality_at_twelve_generators():
     assert report.summary() == "full: UNSAT; removals: 4096/4096 SAT"
     for j in (0, 1, 2047, 4095):
         assert evaluates_true(report.removals[j].witness, remove_clauses(rect, (j,)))
+
+
+def test_minimality_report_keeps_one_index_per_removal():
+    rect = rect_for(", ".join(f"p{i}" for i in range(12)))
+    rect.clauses  # built outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = check_minimality(rect)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.summary() == "full: UNSAT; removals: 4096/4096 SAT"
+    # An int per removal is about 150 KiB here; a 12-entry witness dict
+    # per removal was about 3 MiB.
+    assert held < 512 * 1024, held
+    assert len(report.removals) == 4096
+    assert report.removals[-1] == report.removals[4095]
+    assert report.removals[2:4] == (report.removals[2], report.removals[3])
+    with pytest.raises(IndexError):
+        report.removals[4096]
