@@ -10,18 +10,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 from .errors import CapExceededError, RectAtgError, TooManyAtomsError
 from .export import (
     AtomNumbering,
-    export_dimacs,
-    export_tptp,
+    dimacs_lines,
+    matrix_lines,
     read_record,
     rebuild_record,
-    render_matrix,
-    render_theorem,
-    save_record,
+    record_lines,
+    theorem_lines,
+    tptp_lines,
 )
 from .parser import parse_generation_set
 from .rectangle import construct_from_template
@@ -38,6 +40,13 @@ EXIT_CHECK = 4
 # build the clauses of the n x 2^n rectangle, and check keeps a witness
 # index per removal, so the CLI caps lower than the library default of 24.
 DEFAULT_CLI_MAX_ATOMS = 20
+
+# Output pieces per sys.stdout.write call.  A piece is one line (one
+# premise of a JSON record, a run of cells of a matrix row), so a batch
+# is a few hundred KiB while the whole output grows as n·2^n.  Batches
+# of 4096 raised the peak RSS of `generate` at n=17 by 2.8 MiB and saved
+# no measurable time.
+WRITE_BATCH = 1024
 
 
 def _indices(text: str) -> tuple[int, ...]:
@@ -164,6 +173,38 @@ def _check_atom_bound(n: int, max_atoms: int) -> None:
         raise TooManyAtomsError(n, max_atoms)
 
 
+def _write(pieces: Iterator[str]) -> None:
+    """Write the pieces to standard output, WRITE_BATCH at a time.
+
+    ``sys.stdout`` is looked up here and used only through ``write`` and
+    ``flush``, so any object with those two methods can stand in for it.
+    A reader that stops early (``| head``) is not an error: rendering
+    stops at the first failed write and the command still exits 0.
+    """
+    out = sys.stdout
+    try:
+        while batch := list(islice(pieces, WRITE_BATCH)):
+            out.write("".join(batch))
+        out.flush()
+    except BrokenPipeError:
+        _discard(out)
+
+
+def _discard(out) -> None:
+    # The reader has gone.  Point the descriptor at /dev/null, so the
+    # flush at interpreter exit has somewhere to write what is still
+    # buffered instead of printing "Exception ignored".
+    try:
+        fd = out.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     generators = _load_generation_set(args)
     if args.verify:
@@ -174,11 +215,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print("error: generated theorem failed verification", file=sys.stderr)
         return EXIT_CHECK
     if args.output == "tptp":
-        sys.stdout.write(export_tptp(theorem))
+        _write(tptp_lines(theorem))
     elif args.output == "json":
-        sys.stdout.write(save_record(theorem))
+        _write(record_lines(theorem))
     else:
-        sys.stdout.write(render_theorem(theorem))
+        _write(theorem_lines(theorem))
     return EXIT_OK
 
 
@@ -186,9 +227,9 @@ def cmd_rectangle(args: argparse.Namespace) -> int:
     generators = _load_generation_set(args)
     rect = construct_from_template(generators, args.max_n)
     if args.output == "dimacs":
-        sys.stdout.write(export_dimacs(rect.clause_set(), AtomNumbering.from_rectangle(rect)))
+        _write(dimacs_lines(rect.clause_set(), AtomNumbering.from_rectangle(rect)))
     else:
-        sys.stdout.write(render_matrix(rect) + "\n")
+        _write(matrix_lines(rect))
     return EXIT_OK
 
 

@@ -9,14 +9,27 @@ through ``Rectangle.column_texts``.  For a closed-form rectangle and the
 premises cut from it, both render one token per row and polarity and
 join column texts from two half-tables, so emitting builds no Clause
 object and calls ``str`` or the token lookup 2n times, not once per
-cell.  Every writer returns the whole text as one ``str``.
+cell.
+
+Each format is a generator of output pieces (``matrix_lines``,
+``dimacs_lines``, ``theorem_lines``, ``tptp_lines``, ``record_lines``),
+one line or one premise at a time, and the ``str`` writers
+(``render_matrix``, ``export_dimacs``, ``render_theorem``,
+``export_tptp``, ``save_record``) join the same generator.  A caller
+that writes the pieces as they come holds one piece and the half-tables,
+about 2^(n/2) texts, instead of the n·2^n-cell output; only the matrix,
+which needs every column's width before its first row, holds its grid
+of n·2^n one-character codes.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Iterable
+from itertools import islice
+from json.encoder import encode_basestring
+from operator import getitem
+from typing import Iterable, Iterator
 
 from .errors import (
     CapExceededError,
@@ -49,6 +62,12 @@ from .theoremgen import (
 SCHEMA_VERSION = 1
 
 _TPTP_LOWER_WORD = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+
+# Cells per piece of a matrix row: rows are 2^n cells long, so the
+# matrix is yielded a run of cells at a time.  Its grid is stored in
+# blocks of columns, a whole number of runs each.
+_MATRIX_RUN = 64
+_MATRIX_BLOCK = 4096
 
 
 class AtomNumbering:
@@ -85,17 +104,19 @@ class AtomNumbering:
         return len(self.atoms)
 
 
-def render_matrix(rect: Rectangle) -> str:
-    """Aligned literal grid, one line per row, negation rendered as ¬.
+def matrix_lines(rect: Rectangle) -> Iterator[str]:
+    """The aligned literal grid, one row per line, negation rendered as ¬.
 
     Cells are padded to their column's width and joined with two spaces,
     so columns stay readable even when first-order cells contain single
-    spaces of their own.
+    spaces of their own.  A row of 2^n cells is yielded in pieces of
+    ``_MATRIX_RUN`` cells; the last piece of a row ends with a newline.
 
     The grid is read through ``Rectangle.column_texts`` with a one-character
     code per distinct literal and no separator, so column j is an n-character
-    string and row i of the concatenated columns is every n-th character
-    from i.  Each literal is rendered once.
+    string and row i of a block of joined columns is every n-th character
+    from i.  Each literal is rendered once, and padded once per column
+    width it occurs at.
     """
     codes: dict[Literal, str] = {}
     text_of: dict[str, str] = {}
@@ -107,35 +128,65 @@ def render_matrix(rect: Rectangle) -> str:
             text_of[found] = str(lit)
         return found
 
-    columns = list(rect.column_texts(code, ""))
-    width_of = {c: len(text) for c, text in text_of.items()}
-    widths = [max(map(width_of.__getitem__, col)) for col in columns]
-    grid = "".join(columns)
-    n = rect.n
-    return "\n".join(
-        "  ".join(map(str.ljust, map(text_of.__getitem__, grid[i::n]), widths)).rstrip()
-        for i in range(n)
-    )
+    # The grid is kept as n·2^n codes, one string per block of columns,
+    # never as 2^n column strings.
+    columns = rect.column_texts(code, "")
+    blocks = []
+    while block := list(islice(columns, _MATRIX_BLOCK)):
+        blocks.append("".join(block))
+    # A column's width is written as the rank of its length among the
+    # literals' lengths, one character per column, so the widest cell of
+    # a column is the largest of its n rank characters.
+    lengths = sorted({len(text) for text in text_of.values()})
+    rank = str.maketrans({c: chr(lengths.index(len(text))) for c, text in text_of.items()})
+    n, width = rect.n, rect.width
+    ranks = []
+    for grid in blocks:
+        grid = grid.translate(rank)
+        ranks.append("".join(map(max, *(grid[i::n] for i in range(n)))))
+    # Each cell is padded to its column width and followed by the
+    # separator; the last piece of a row drops the trailing blanks.
+    used = set().union(*ranks)
+    padded = {
+        c: {r: text.ljust(lengths[ord(r)]) + "  " for r in used}
+        for c, text in text_of.items()
+    }
+    for i in range(n):
+        for start in range(0, width, _MATRIX_RUN):
+            k, a = divmod(start, _MATRIX_BLOCK)
+            b = a + _MATRIX_RUN
+            cells = map(padded.__getitem__, blocks[k][i + a * n : b * n : n])
+            piece = "".join(map(getitem, cells, ranks[k][a:b]))
+            yield piece if start + _MATRIX_RUN < width else piece.rstrip() + "\n"
 
 
-def export_dimacs(clause_set: ClauseSet, numbering: AtomNumbering) -> str:
-    """DIMACS CNF text: header line, then one zero-terminated line per clause.
+def render_matrix(rect: Rectangle) -> str:
+    """``matrix_lines`` as one string, without the final newline."""
+    return "".join(matrix_lines(rect))[:-1]
+
+
+def dimacs_lines(clause_set: ClauseSet, numbering: AtomNumbering) -> Iterator[str]:
+    """DIMACS CNF lines: header line, then one zero-terminated line per clause.
 
     Propositional sets are emitted bare.  If any atom is a predicate, a
     comment block up front maps each variable number to its atom text.
     """
-    lines = []
     if any(isinstance(atom, Pred) for atom in numbering.atoms):
         for i, atom in enumerate(numbering.atoms, start=1):
-            lines.append(f"c {i} {atom}")
-    lines.append(f"p cnf {len(numbering)} {len(clause_set)}")
+            yield f"c {i} {atom}\n"
+    yield f"p cnf {len(numbering)} {len(clause_set)}\n"
 
     def token(lit: Literal) -> str:
         number = numbering.number(lit.atom)
         return f"-{number}" if lit.negated else str(number)
 
-    lines.extend(f"{text} 0" if text else "0" for text in clause_set.texts(token, " "))
-    return "\n".join(lines) + "\n"
+    for text in clause_set.texts(token, " "):
+        yield f"{text} 0\n" if text else "0\n"
+
+
+def export_dimacs(clause_set: ClauseSet, numbering: AtomNumbering) -> str:
+    """``dimacs_lines`` as one string."""
+    return "".join(dimacs_lines(clause_set, numbering))
 
 
 def _tptp_name(name: str) -> str:
@@ -207,8 +258,8 @@ def _conjecture_formula(theorem: Theorem) -> str:
     return body
 
 
-def export_tptp(theorem: Theorem) -> str:
-    """TPTP problem text: premises as cnf axioms, conclusion as fof conjecture.
+def tptp_lines(theorem: Theorem) -> Iterator[str]:
+    """TPTP problem lines: premises as cnf axioms, conclusion as fof conjecture.
 
     Axiom names run premise_0001 upward.  Clause variables stay free
     (cnf reads them as universally quantified); the fof conjecture is
@@ -216,25 +267,32 @@ def export_tptp(theorem: Theorem) -> str:
     """
     premises = theorem.premises
     width = max(4, len(str(len(premises))))
-    lines = [
-        f"cnf(premise_{i:0{width}d}, axiom, {_tptp_clause_text(text)})."
-        for i, text in enumerate(premises.texts(_tptp_literal, " | "), start=1)
-    ]
-    lines.append(f"fof(conclusion, conjecture, {_conjecture_formula(theorem)}).")
-    return "\n".join(lines) + "\n"
+    for i, text in enumerate(premises.texts(_tptp_literal, " | "), start=1):
+        yield f"cnf(premise_{i:0{width}d}, axiom, {_tptp_clause_text(text)}).\n"
+    yield f"fof(conclusion, conjecture, {_conjecture_formula(theorem)}).\n"
 
 
-def _clause_texts(clause_set: ClauseSet) -> list[str]:
+def export_tptp(theorem: Theorem) -> str:
+    """``tptp_lines`` as one string."""
+    return "".join(tptp_lines(theorem))
+
+
+def _clause_texts(clause_set: ClauseSet) -> Iterator[str]:
     """``str`` of each clause, the empty clause included, without building
     the clauses of a rectangle view."""
-    return [text or "□" for text in clause_set.texts(str, " ∨ ")]
+    return (text or "□" for text in clause_set.texts(str, " ∨ "))
+
+
+def theorem_lines(theorem: Theorem) -> Iterator[str]:
+    """Plain text lines: one premise per line, then the turnstile line."""
+    for text in _clause_texts(theorem.premises):
+        yield text + "\n"
+    yield f"⊢ {theorem.conclusion}\n"
 
 
 def render_theorem(theorem: Theorem) -> str:
-    """Plain text: one premise per line, then the turnstile line."""
-    lines = _clause_texts(theorem.premises)
-    lines.append(f"⊢ {theorem.conclusion}")
-    return "\n".join(lines) + "\n"
+    """``theorem_lines`` as one string."""
+    return "".join(theorem_lines(theorem))
 
 
 def _term_to_json(term: Term):
@@ -297,21 +355,37 @@ def _literal_from_json(data) -> Literal:
     return Literal(atom, negated)
 
 
-def save_record(theorem: Theorem) -> str:
-    """Versioned JSON form of a theorem.
+def record_lines(theorem: Theorem) -> Iterator[str]:
+    """Versioned JSON form of a theorem, one premise per piece.
 
     Generators are stored structurally (so variable/constant identity
     survives without a parser flag); premises and conclusion are stored
-    as display text for the reader and re-derived on load.
+    as display text for the reader and re-derived on load.  The pieces
+    join to ``json.dumps(record, ensure_ascii=False, indent=2)`` plus a
+    newline.
     """
-    record = {
+    head = {
         "version": SCHEMA_VERSION,
         "generators": [_literal_to_json(l) for l in theorem.provenance.generators],
         "removed_indices": list(theorem.provenance.removed_indices),
-        "premises": _clause_texts(theorem.premises),
-        "conclusion": str(theorem.conclusion),
     }
-    return json.dumps(record, ensure_ascii=False, indent=2) + "\n"
+    # Reopen the dumped head after its last field: drop the closing "\n}".
+    yield json.dumps(head, ensure_ascii=False, indent=2)[:-2] + ",\n"
+    premises = _clause_texts(theorem.premises)
+    first = next(premises, None)
+    if first is None:
+        yield '  "premises": [],\n'
+    else:
+        yield f'  "premises": [\n    {encode_basestring(first)}'
+        for text in premises:
+            yield f",\n    {encode_basestring(text)}"
+        yield "\n  ],\n"
+    yield f'  "conclusion": {encode_basestring(str(theorem.conclusion))}\n}}\n'
+
+
+def save_record(theorem: Theorem) -> str:
+    """``record_lines`` as one string."""
+    return "".join(record_lines(theorem))
 
 
 def read_record(text: str) -> dict:
@@ -369,7 +443,7 @@ def rebuild_record(data: dict, max_level: int = DEFAULT_MAX_LEVEL) -> Theorem:
         raise
     except (RectAtgError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise MalformedRecordError(f"provenance does not rebuild: {exc}") from exc
-    premises = _clause_texts(theorem.premises)
+    premises = list(_clause_texts(theorem.premises))
     if data["premises"] != premises or data["conclusion"] != str(theorem.conclusion):
         raise MalformedRecordError(
             "stored premises or conclusion disagree with reconstruction from provenance"

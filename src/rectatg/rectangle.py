@@ -25,7 +25,7 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 from .errors import IndexOutOfRangeError, SizeCapError
 from .logic import Clause, ClauseSet, Literal, negate_literal
 from .parser import GenerationSet
-from .template import DEFAULT_MAX_LEVEL, Marker, _sign_rows, polarity_at
+from .template import DEFAULT_MAX_LEVEL, _sign_rows
 
 
 class Rectangle:
@@ -86,11 +86,8 @@ class Rectangle:
             raise IndexOutOfRangeError(f"column {j} not in 0..{self.width - 1}")
         if self._signs is None:
             return tuple(row[j] for row in self._rows)
-        n = self.n
-        return tuple(
-            pos if polarity_at(i, j, n) is Marker.POSITIVE else neg
-            for i, (pos, neg) in enumerate(self._signs, start=1)
-        )
+        # Bit i of j picks row i's polarity: the complement when set.
+        return tuple(pair[(j >> i) & 1] for i, pair in enumerate(self._signs))
 
     def column_texts(
         self,

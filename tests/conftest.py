@@ -12,6 +12,7 @@ values.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 from rectatg import (
@@ -36,6 +37,7 @@ from rectatg import (
     negate_literal,
     parse_literal,
 )
+from rectatg.export import _literal_to_json
 
 # GenerationSet checks its own invariants; tests keep the older name.
 validate_generation_set = GenerationSet
@@ -190,6 +192,39 @@ def construct_naive(generators, max_level=DEFAULT_MAX_LEVEL) -> Rectangle:
         half = 1 << i
         rows.append([lits[i]] * half + [negate_literal(lits[i])] * half)
     return Rectangle(generators, rows)
+
+
+def first_difference(got: str, want: str):
+    """None when the texts are equal, else where they part and what
+    follows there: a failure report that stays short for megabyte texts,
+    which pytest's own diff would take minutes over."""
+    if got == want:
+        return None
+    at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return at, got[at : at + 40], want[at : at + 40]
+
+
+def matrix_reference(rect: Rectangle) -> str:
+    """The matrix text cell by cell from laid-out rows: each cell padded
+    to its column's widest cell, joined by two spaces, right-stripped."""
+    rows = [[str(cell) for cell in row] for row in rect.rows]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
+    )
+
+
+def record_reference(theorem) -> str:
+    """A theorem record dumped whole by ``json.dumps``: the text the
+    streamed record must match byte for byte."""
+    record = {
+        "version": 1,
+        "generators": [_literal_to_json(l) for l in theorem.provenance.generators],
+        "removed_indices": list(theorem.provenance.removed_indices),
+        "premises": [str(c) for c in theorem.premises],
+        "conclusion": str(theorem.conclusion),
+    }
+    return json.dumps(record, ensure_ascii=False, indent=2) + "\n"
 
 
 def polarity_oracle_positive(row: int, column: int) -> bool:

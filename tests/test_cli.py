@@ -1,19 +1,36 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rectatg
 from rectatg import (
+    AtomNumbering,
     MalformedRecordError,
+    construct_from_template,
+    export_dimacs,
+    export_tptp,
     generate_theorem,
+    generate_theorem_with_partition,
     load_record,
     parse_generation_set,
+    render_matrix,
+    render_theorem,
     save_record,
 )
 from rectatg import cli, export
 from rectatg.cli import main
 from rectatg.parser import MAX_NESTING
+
+from conftest import first_difference
 
 THEOREM_TEXT = "¬p ∨ q\np ∨ ¬q\n¬p ∨ ¬q\n⊢ ¬p ∧ ¬q\n"
 DIMACS_TWO_GENERATORS = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
@@ -313,3 +330,164 @@ def test_module_invocation_is_deterministic():
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+
+
+def _names(n: int) -> str:
+    return ", ".join(f"p{i:02d}" for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "literals, hypothesis",
+    (
+        # 2^13 columns: several write batches and two blocks of the matrix grid.
+        (_names(13), None),
+        ("p, q, r, s", "3,1,3"),
+        # Every column on the hypothesis side leaves no premises.
+        ("p, q, r", "0,1,2,3,4,5,6,7"),
+        ("P(f(X), a), ~Q(g(Y, b)), x = f(a), R", "0,5"),
+        (", ".join(f"P{i}(f(a{i % 3}, X))" if i % 2 else f"~p{i}" for i in range(9)), "7"),
+    ),
+)
+def test_stdout_matches_the_string_writers(capsys, literals, hypothesis):
+    g = parse_generation_set(literals)
+    rect = construct_from_template(g)
+    indices = (0,) if hypothesis is None else [int(j) for j in hypothesis.split(",")]
+    t = generate_theorem_with_partition(g, indices)
+    h = () if hypothesis is None else ("-H", hypothesis)
+    expected = {
+        ("rectangle", "matrix", ()): render_matrix(rect) + "\n",
+        ("rectangle", "dimacs", ()): export_dimacs(
+            rect.clause_set(), AtomNumbering.from_rectangle(rect)
+        ),
+        ("generate", "text", h): render_theorem(t),
+        ("generate", "tptp", h): export_tptp(t),
+        ("generate", "json", h): save_record(t),
+    }
+    for (command, output, extra), want in expected.items():
+        code, out, err = run(capsys, command, "-l", literals, "-o", output, *extra)
+        assert (code, err) == (0, ""), (command, output)
+        assert first_difference(out, want) is None, (command, output)
+
+
+class CountingSink:
+    """A stand-in for sys.stdout with only write and flush."""
+
+    def __init__(self):
+        self.writes = 0
+        self.size = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        self.size += len(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_generate_streams_in_bounded_memory(monkeypatch):
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["generate", "-l", _names(16)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size >= 8_000_000 and sink.writes > 1
+    # Held whole, the text alone would take more than its 8 MB.
+    assert peak < 3 << 20
+
+
+FORMATS = (
+    ("rectangle", "matrix"),
+    ("rectangle", "dimacs"),
+    ("generate", "text"),
+    ("generate", "tptp"),
+    ("generate", "json"),
+)
+
+
+def _child_env(buffered: bool) -> dict[str, str]:
+    package_root = str(Path(rectatg.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = package_root + (os.pathsep + path if path else "")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("buffered", (True, False))
+@pytest.mark.parametrize("command, output", FORMATS)
+def test_reader_closing_early_is_not_an_error(command, output, buffered):
+    argv = [sys.executable, "-m", "rectatg", command, "-l", _names(16), "-o", output]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(buffered)
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")
+
+
+@pytest.mark.parametrize("command, output", FORMATS)
+def test_reader_gone_before_the_first_byte_is_not_an_error(command, output):
+    # Two generators: the output fits in the stdout buffer, so the
+    # failed write is the final flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "rectatg", command, "-l", "p, q", "-o", output],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_child_env(True),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+_LITERAL_TEXT = st.text(
+    st.sampled_from("pqPQRfgxXa01_(),;=~¬ \n\t") | st.characters(), max_size=40
+) | st.lists(
+    # Mostly well-formed sets, some past the caps of six.
+    st.sampled_from(("p", "~q", "r1", "P(a)", "~Q(X, f(Y))", "x = f(a)", "R()", "S(g(b), Z)")),
+    unique=True,
+    max_size=8,
+).map(", ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(
+        (
+            ("generate",),
+            ("generate", "--verify"),
+            ("generate", "-o", "json", "-H", "1,0"),
+            ("rectangle", "-o", "dimacs"),
+            ("rectangle",),
+            ("check",),
+        )
+    ),
+    st.sampled_from(("upper", "lower")),
+    _LITERAL_TEXT,
+)
+def test_any_literal_text_exits_with_a_documented_code(command, style, text):
+    argv = [*command, "-l", text, "--var-style", style, "--max-n", "6"]
+    if command[0] != "rectangle":
+        argv += ["--max-atoms", "6"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse turns away text it reads as an option.
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import re
 
 import pytest
@@ -10,9 +11,12 @@ from rectatg import (
     AtomNumbering,
     Clause,
     ClauseSet,
+    GenerationSet,
+    Literal,
     MalformedRecordError,
     Prop,
     RectAtgError,
+    Rectangle,
     SchemaMismatchError,
     UnnumberedAtomError,
     construct_from_template,
@@ -31,7 +35,16 @@ from rectatg import (
 )
 from rectatg import export
 
-from conftest import clause, clause_set, construct_naive, lit, random_generation_set
+from conftest import (
+    clause,
+    clause_set,
+    construct_naive,
+    first_difference,
+    lit,
+    matrix_reference,
+    random_generation_set,
+    record_reference,
+)
 
 DIMACS_TWO_GENERATORS = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
 
@@ -125,6 +138,24 @@ def test_matrix_lines_and_columns_align():
         "w", "¬w", "w", "¬w", "w", "¬w", "w", "¬w",
         "w", "¬w", "w", "¬w", "w", "¬w", "w", "¬w",
     ]
+
+
+def test_matrix_spans_several_blocks_of_columns():
+    # 2^13 columns fill two blocks of the grid; the first-order cells
+    # give the columns two widths, interleaved by the low bits.
+    rect = rect_for(", ".join(f"P{i}(f(a{i % 3}, X))" if i % 4 else f"p{i}" for i in range(13)))
+    assert first_difference(render_matrix(rect), matrix_reference(rect)) is None
+
+
+def test_matrix_of_an_irregular_grid():
+    # A hand-made grid: a width that is no multiple of the run length and
+    # many distinct column widths.
+    rng = random.Random(5)
+    g = parse_generation_set("p, q, r")
+    pool = [parse_literal(t) for t in ("p", "~q", "P(a)", "~P(f(g(a, b)))", "x = f(y)", "r")]
+    rows = [[rng.choice(pool) for _ in range(203)] for _ in range(3)]
+    rect = Rectangle(g, rows)
+    assert render_matrix(rect) == matrix_reference(rect)
 
 
 def test_tptp_single_generator():
@@ -265,7 +296,7 @@ def test_writers_agree_on_closed_form_explicit_rows_and_clause_objects(
     g = random_generation_set(rng, max_n=8, first_order=first_order)
     closed, explicit = construct_from_template(g), construct_naive(g)
     numbering = AtomNumbering.from_rectangle(closed)
-    assert render_matrix(closed) == render_matrix(explicit)
+    assert render_matrix(closed) == render_matrix(explicit) == matrix_reference(explicit)
     plain = ClauseSet(explicit.clauses)
     want = export_dimacs(plain, numbering)
     assert export_dimacs(closed.clause_set(), numbering) == want
@@ -282,6 +313,7 @@ def test_writers_agree_on_closed_form_explicit_rows_and_clause_objects(
     lines = export_tptp(t).splitlines()[:-1]
     assert [line.split(", ", 2)[2][:-2] for line in lines] == tptp
     assert json.loads(save_record(t))["premises"] == texts
+    assert save_record(t) == record_reference(on_clauses)
     for writer in (render_theorem, export_tptp, save_record):
         assert writer(t) == writer(on_rows) == writer(on_clauses)
     want = export_dimacs(on_clauses.premises, numbering)
@@ -316,6 +348,22 @@ def test_empty_clause_renders_in_every_writer():
     ]
     numbering = AtomNumbering((Prop("p"),))
     assert export_dimacs(odd.premises, numbering) == "p cnf 1 2\n0\n1 0\n"
+
+
+def _unchecked_prop(name: str) -> Prop:
+    # The parser and Prop only admit ASCII word characters; this reaches
+    # the JSON escaping of names a future syntax might allow.
+    atom = object.__new__(Prop)
+    object.__setattr__(atom, "name", name)
+    return atom
+
+
+@pytest.mark.parametrize("hypothesis", ((0,), (3, 1), tuple(range(8))))
+def test_record_streams_names_that_json_escapes(hypothesis):
+    names = ('say "hi"', "back\\slash", "Prädikat\n\t☃")
+    odd = GenerationSet(tuple(Literal(_unchecked_prop(x), i == 1) for i, x in enumerate(names)))
+    t = generate_theorem_with_partition(odd, hypothesis)
+    assert save_record(t) == record_reference(t)
 
 
 def test_oversized_integer_in_a_record_is_malformed():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectatg import (
@@ -12,6 +12,7 @@ from rectatg import (
     ParseError,
     Pred,
     Prop,
+    RectAtgError,
     Variable,
     parse_generation_set,
     parse_literal,
@@ -209,3 +210,15 @@ def test_validate_accepts_iff_symbols_injective(symbols):
     else:
         with pytest.raises(DuplicatePredicateError):
             validate_generation_set(literals)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(st.sampled_from("pqPfgxXa01_(),;=~¬ \n\t\r") | st.characters(), max_size=60),
+    st.sampled_from(("upper", "lower")),
+)
+def test_arbitrary_text_raises_only_package_errors(text, style):
+    try:
+        parse_generation_set(text, style)
+    except RectAtgError:
+        pass

@@ -76,6 +76,13 @@ def test_grid_matches_closed_form_polarity(n):
 def test_block_rule_matches_doubling_and_closed_form(rng):
     g = random_generation_set(rng, max_n=8)
     rect = construct_from_template(g)
+    # Columns are read off the generators, before any row is laid out.
+    for j in range(rect.width):
+        assert rect.column(j) == tuple(
+            lit if polarity_at(i + 1, j, g.n) is Marker.POSITIVE else negate_literal(lit)
+            for i, lit in enumerate(g)
+        )
+    assert rect._rows is None
     assert rect.rows == construct_naive(g).rows
     for i, row in enumerate(rect.rows):
         neg = negate_literal(g[i])
@@ -127,6 +134,8 @@ def test_remove_index_out_of_range():
         remove_clauses(rect, (-1,))
     with pytest.raises(IndexOutOfRangeError):
         rect.column(4)
+    with pytest.raises(IndexOutOfRangeError):
+        rect.column(-1)
 
 
 def test_materialization_cap_for_both_routes():
