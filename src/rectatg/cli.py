@@ -12,18 +12,23 @@ import os
 import sys
 from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceededError, RectAtgError, TooManyAtomsError
 from .export import (
     AtomNumbering,
-    dimacs_lines,
-    matrix_lines,
+    _dimacs_lines,
+    _matrix_lines,
+    _record_lines,
+    _theorem_lines,
+    _tptp_lines,
+    export_dimacs,
+    export_tptp,
     read_record,
     rebuild_record,
-    record_lines,
-    theorem_lines,
-    tptp_lines,
+    render_matrix,
+    render_theorem,
+    save_record,
 )
 from .parser import parse_generation_set
 from .rectangle import construct_from_template
@@ -173,7 +178,7 @@ def _check_atom_bound(n: int, max_atoms: int) -> None:
         raise TooManyAtomsError(n, max_atoms)
 
 
-def _write(pieces: Iterator[str]) -> None:
+def _write(pieces: Iterable[str]) -> None:
     """Write the pieces to standard output, WRITE_BATCH at a time.
 
     ``sys.stdout`` is looked up here and used only through ``write`` and
@@ -182,12 +187,25 @@ def _write(pieces: Iterator[str]) -> None:
     stops at the first failed write and the command still exits 0.
     """
     out = sys.stdout
+    pieces = iter(pieces)
     try:
         while batch := list(islice(pieces, WRITE_BATCH)):
             out.write("".join(batch))
         out.flush()
     except BrokenPipeError:
         _discard(out)
+
+
+def _emit(clauses: int, whole: Callable[..., str], lines: Callable[..., Iterator[str]],
+          *args) -> None:
+    """Write one output of the given number of clauses.
+
+    An output of fewer than WRITE_BATCH clauses is about one batch, so
+    its ``str`` writer renders it whole, the route the library's callers
+    and the benchmark's per-layer spans see; a larger one is streamed
+    from the writer's line generator.  Both join the same lines.
+    """
+    _write((whole(*args),) if clauses < WRITE_BATCH else lines(*args))
 
 
 def _discard(out) -> None:
@@ -214,12 +232,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.verify and not verify_theorem(theorem, args.max_atoms):
         print("error: generated theorem failed verification", file=sys.stderr)
         return EXIT_CHECK
+    count = len(theorem.premises)
     if args.output == "tptp":
-        _write(tptp_lines(theorem))
+        _emit(count, export_tptp, _tptp_lines, theorem)
     elif args.output == "json":
-        _write(record_lines(theorem))
+        _emit(count, save_record, _record_lines, theorem)
     else:
-        _write(theorem_lines(theorem))
+        _emit(count, render_theorem, _theorem_lines, theorem)
     return EXIT_OK
 
 
@@ -227,9 +246,10 @@ def cmd_rectangle(args: argparse.Namespace) -> int:
     generators = _load_generation_set(args)
     rect = construct_from_template(generators, args.max_n)
     if args.output == "dimacs":
-        _write(dimacs_lines(rect.clause_set(), AtomNumbering.from_rectangle(rect)))
+        numbering = AtomNumbering.from_rectangle(rect)
+        _emit(rect.width, export_dimacs, _dimacs_lines, rect.clause_set(), numbering)
     else:
-        _write(matrix_lines(rect))
+        _emit(rect.width, lambda r: render_matrix(r) + "\n", _matrix_lines, rect)
     return EXIT_OK
 
 
@@ -245,11 +265,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         _check_atom_bound(generators.n, args.max_atoms)
     rect = construct_from_template(generators, args.max_n)
     report = check_minimality(rect, args.max_atoms)
-    print(report.summary())
+    _write((report.summary(), "\n"))
     ok = report.ok
     if theorem is not None:
         verified = verify_theorem(theorem, args.max_atoms)
-        print(f"theorem: {'verified' if verified else 'not verified'}")
+        _write((f"theorem: {'verified' if verified else 'not verified'}\n",))
         ok = ok and verified
     return EXIT_OK if ok else EXIT_CHECK
 

@@ -11,15 +11,16 @@ join column texts from two half-tables, so emitting builds no Clause
 object and calls ``str`` or the token lookup 2n times, not once per
 cell.
 
-Each format is a generator of output pieces (``matrix_lines``,
-``dimacs_lines``, ``theorem_lines``, ``tptp_lines``, ``record_lines``),
-one line or one premise at a time, and the ``str`` writers
-(``render_matrix``, ``export_dimacs``, ``render_theorem``,
-``export_tptp``, ``save_record``) join the same generator.  A caller
-that writes the pieces as they come holds one piece and the half-tables,
-about 2^(n/2) texts, instead of the n·2^n-cell output; only the matrix,
-which needs every column's width before its first row, holds its grid
-of n·2^n one-character codes.
+Each format is a private generator of output pieces (``_matrix_lines``,
+``_dimacs_lines``, ``_theorem_lines``, ``_tptp_lines``,
+``_record_lines``), one line or one premise at a time, and the public
+``str`` writers (``render_matrix``, ``export_dimacs``,
+``render_theorem``, ``export_tptp``, ``save_record``) join the same
+generator.  A caller that writes the pieces as they come, as the CLI
+does for large outputs, holds one piece and the half-tables, about
+2^(n/2) texts, instead of the n·2^n-cell output; only the matrix, which
+needs every column's width before its first row, holds its grid of
+n·2^n one-character codes.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class AtomNumbering:
         return len(self.atoms)
 
 
-def matrix_lines(rect: Rectangle) -> Iterator[str]:
+def _matrix_lines(rect: Rectangle) -> Iterator[str]:
     """The aligned literal grid, one row per line, negation rendered as ¬.
 
     Cells are padded to their column's width and joined with two spaces,
@@ -128,44 +129,41 @@ def matrix_lines(rect: Rectangle) -> Iterator[str]:
             text_of[found] = str(lit)
         return found
 
-    # The grid is kept as n·2^n codes, one string per block of columns,
-    # never as 2^n column strings.
+    # The grid is kept as n·2^n codes in blocks of columns, never as 2^n
+    # column strings at once.
     columns = rect.column_texts(code, "")
     blocks = []
     while block := list(islice(columns, _MATRIX_BLOCK)):
         blocks.append("".join(block))
-    # A column's width is written as the rank of its length among the
-    # literals' lengths, one character per column, so the widest cell of
-    # a column is the largest of its n rank characters.
-    lengths = sorted({len(text) for text in text_of.values()})
-    rank = str.maketrans({c: chr(lengths.index(len(text))) for c, text in text_of.items()})
+    # A column's width is kept as one character, chr(width): with each
+    # code translated to its text's length, it is the largest of the
+    # column's n characters.
     n, width = rect.n, rect.width
-    ranks = []
-    for grid in blocks:
-        grid = grid.translate(rank)
-        ranks.append("".join(map(max, *(grid[i::n] for i in range(n)))))
-    # Each cell is padded to its column width and followed by the
-    # separator; the last piece of a row drops the trailing blanks.
-    used = set().union(*ranks)
+    length = str.maketrans({c: chr(len(text)) for c, text in text_of.items()})
+    widths = "".join(
+        "".join(map(max, *(grid[i::n] for i in range(n))))
+        for grid in (block.translate(length) for block in blocks)
+    )
     padded = {
-        c: {r: text.ljust(lengths[ord(r)]) + "  " for r in used}
+        c: {w: text.ljust(ord(w)) + "  " for w in set(widths)}
         for c, text in text_of.items()
     }
     for i in range(n):
         for start in range(0, width, _MATRIX_RUN):
             k, a = divmod(start, _MATRIX_BLOCK)
-            b = a + _MATRIX_RUN
-            cells = map(padded.__getitem__, blocks[k][i + a * n : b * n : n])
-            piece = "".join(map(getitem, cells, ranks[k][a:b]))
-            yield piece if start + _MATRIX_RUN < width else piece.rstrip() + "\n"
+            end = start + _MATRIX_RUN
+            cells = map(padded.__getitem__, blocks[k][i + a * n : (a + _MATRIX_RUN) * n : n])
+            piece = "".join(map(getitem, cells, widths[start:end]))
+            # The last piece of a row drops the trailing blanks.
+            yield piece if end < width else piece.rstrip() + "\n"
 
 
 def render_matrix(rect: Rectangle) -> str:
-    """``matrix_lines`` as one string, without the final newline."""
-    return "".join(matrix_lines(rect))[:-1]
+    """``_matrix_lines`` as one string, without the final newline."""
+    return "".join(_matrix_lines(rect))[:-1]
 
 
-def dimacs_lines(clause_set: ClauseSet, numbering: AtomNumbering) -> Iterator[str]:
+def _dimacs_lines(clause_set: ClauseSet, numbering: AtomNumbering) -> Iterator[str]:
     """DIMACS CNF lines: header line, then one zero-terminated line per clause.
 
     Propositional sets are emitted bare.  If any atom is a predicate, a
@@ -185,8 +183,8 @@ def dimacs_lines(clause_set: ClauseSet, numbering: AtomNumbering) -> Iterator[st
 
 
 def export_dimacs(clause_set: ClauseSet, numbering: AtomNumbering) -> str:
-    """``dimacs_lines`` as one string."""
-    return "".join(dimacs_lines(clause_set, numbering))
+    """``_dimacs_lines`` as one string."""
+    return "".join(_dimacs_lines(clause_set, numbering))
 
 
 def _tptp_name(name: str) -> str:
@@ -258,7 +256,7 @@ def _conjecture_formula(theorem: Theorem) -> str:
     return body
 
 
-def tptp_lines(theorem: Theorem) -> Iterator[str]:
+def _tptp_lines(theorem: Theorem) -> Iterator[str]:
     """TPTP problem lines: premises as cnf axioms, conclusion as fof conjecture.
 
     Axiom names run premise_0001 upward.  Clause variables stay free
@@ -273,8 +271,8 @@ def tptp_lines(theorem: Theorem) -> Iterator[str]:
 
 
 def export_tptp(theorem: Theorem) -> str:
-    """``tptp_lines`` as one string."""
-    return "".join(tptp_lines(theorem))
+    """``_tptp_lines`` as one string."""
+    return "".join(_tptp_lines(theorem))
 
 
 def _clause_texts(clause_set: ClauseSet) -> Iterator[str]:
@@ -283,7 +281,7 @@ def _clause_texts(clause_set: ClauseSet) -> Iterator[str]:
     return (text or "□" for text in clause_set.texts(str, " ∨ "))
 
 
-def theorem_lines(theorem: Theorem) -> Iterator[str]:
+def _theorem_lines(theorem: Theorem) -> Iterator[str]:
     """Plain text lines: one premise per line, then the turnstile line."""
     for text in _clause_texts(theorem.premises):
         yield text + "\n"
@@ -291,8 +289,8 @@ def theorem_lines(theorem: Theorem) -> Iterator[str]:
 
 
 def render_theorem(theorem: Theorem) -> str:
-    """``theorem_lines`` as one string."""
-    return "".join(theorem_lines(theorem))
+    """``_theorem_lines`` as one string."""
+    return "".join(_theorem_lines(theorem))
 
 
 def _term_to_json(term: Term):
@@ -355,7 +353,7 @@ def _literal_from_json(data) -> Literal:
     return Literal(atom, negated)
 
 
-def record_lines(theorem: Theorem) -> Iterator[str]:
+def _record_lines(theorem: Theorem) -> Iterator[str]:
     """Versioned JSON form of a theorem, one premise per piece.
 
     Generators are stored structurally (so variable/constant identity
@@ -384,8 +382,8 @@ def record_lines(theorem: Theorem) -> Iterator[str]:
 
 
 def save_record(theorem: Theorem) -> str:
-    """``record_lines`` as one string."""
-    return "".join(record_lines(theorem))
+    """``_record_lines`` as one string."""
+    return "".join(_record_lines(theorem))
 
 
 def read_record(text: str) -> dict:

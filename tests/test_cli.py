@@ -346,6 +346,8 @@ def _names(n: int) -> str:
         ("p, q, r", "0,1,2,3,4,5,6,7"),
         ("P(f(X), a), ~Q(g(Y, b)), x = f(a), R", "0,5"),
         (", ".join(f"P{i}(f(a{i % 3}, X))" if i % 2 else f"~p{i}" for i in range(9)), "7"),
+        # 2^11 columns: first-order output streamed in several batches.
+        (", ".join(f"P{i}(f(a{i % 3}, X))" if i % 2 else f"~p{i}" for i in range(11)), "7,1000"),
     ),
 )
 def test_stdout_matches_the_string_writers(capsys, literals, hypothesis):
@@ -409,6 +411,28 @@ FORMATS = (
 )
 
 
+WRITERS = ("render_matrix", "export_dimacs", "render_theorem", "export_tptp", "save_record")
+
+
+@pytest.mark.parametrize("n, whole", ((3, True), (11, False)))
+def test_outputs_under_one_batch_go_through_the_string_writers(capsys, monkeypatch, n, whole):
+    assert 1 << 3 < cli.WRITE_BATCH < (1 << 11) - 1
+    calls = []
+
+    def counted(name, writer):
+        def wrapper(*args):
+            calls.append(name)
+            return writer(*args)
+
+        return wrapper
+
+    for name in WRITERS:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    for command, output in FORMATS:
+        assert run(capsys, command, "-l", _names(n), "-o", output)[0] == 0
+    assert calls == (list(WRITERS) if whole else [])
+
+
 def _child_env(buffered: bool) -> dict[str, str]:
     package_root = str(Path(rectatg.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
@@ -433,18 +457,21 @@ def test_reader_closing_early_is_not_an_error(command, output, buffered):
     assert (code, err) == (0, b"")
 
 
-@pytest.mark.parametrize("command, output", FORMATS)
-def test_reader_gone_before_the_first_byte_is_not_an_error(command, output):
-    # Two generators: the output fits in the stdout buffer, so the
-    # failed write is the final flush.
+@pytest.mark.parametrize("buffered", (True, False))
+@pytest.mark.parametrize(
+    "argv", [(command, "-o", output) for command, output in FORMATS] + [("check",)]
+)
+def test_reader_gone_before_the_first_byte_is_not_an_error(argv, buffered):
+    # Two generators: the output fits in the stdout buffer, so with a
+    # buffered stdout the failed write is the final flush.
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "rectatg", command, "-l", "p, q", "-o", output],
+            [sys.executable, "-m", "rectatg", *argv, "-l", "p, q"],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=_child_env(True),
+            env=_child_env(buffered),
             timeout=60,
         )
     finally:
