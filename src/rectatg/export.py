@@ -25,10 +25,8 @@ n·2^n one-character codes.
 
 from __future__ import annotations
 
-import json
 import re
 from itertools import islice
-from json.encoder import encode_basestring
 from operator import getitem
 from typing import Iterable, Iterator
 
@@ -362,6 +360,10 @@ def _record_lines(theorem: Theorem) -> Iterator[str]:
     join to ``json.dumps(record, ensure_ascii=False, indent=2)`` plus a
     newline.
     """
+    # Only the record paths import json, so other commands start sooner.
+    import json
+    from json.encoder import encode_basestring
+
     head = {
         "version": SCHEMA_VERSION,
         "generators": [_literal_to_json(l) for l in theorem.provenance.generators],
@@ -394,6 +396,8 @@ def read_record(text: str) -> dict:
     of integers.  Callers can bound the work a rebuild will take from
     ``len(record["generators"])`` before calling ``rebuild_record``.
     """
+    import json  # only the record paths import json; see _record_lines
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

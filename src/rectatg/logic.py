@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import EmptyClauseError
 
 _SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+
+# Field stores for the __init__ of a _Value, which refuses plain assignment.
+_set = object.__setattr__
 
 
 def _check_symbol(name: str, allow_eq: bool = False) -> None:
@@ -24,38 +27,80 @@ def _check_symbol(name: str, allow_eq: bool = False) -> None:
         raise ValueError(f"bad symbol name: {name!r}")
 
 
-@dataclass(frozen=True)
-class Constant:
-    name: str
+class _Value:
+    """Base of the immutable value classes.
 
-    def __post_init__(self):
-        _check_symbol(self.name)
+    A subclass lists its fields in ``__slots__`` and stores them in its
+    ``__init__`` with ``_set``.  Two values are equal when they are of
+    the same class with equal fields; the hash is the hash of the field
+    tuple and the repr reads ``Prop(name='p')``.  Positional patterns
+    match the fields in order.  Fields cannot be assigned or deleted,
+    and pickle and ``copy`` rebuild a value by calling its class with
+    the fields in order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        # attrgetter of a single name gives the bare value, not a tuple.
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda v: (get(v),))
+        cls.__match_args__ = cls.__slots__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+
+class Constant(_Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _check_symbol(name)
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(_Value):
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        _check_symbol(self.name)
+    def __init__(self, name: str):
+        _check_symbol(name)
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Function:
-    name: str
-    args: "tuple[Term, ...]"
+class Function(_Value):
+    __slots__ = ("name", "args")
 
-    def __post_init__(self):
-        _check_symbol(self.name)
-        object.__setattr__(self, "args", tuple(self.args))
-        if not self.args:
+    def __init__(self, name: str, args: Iterable[Term]):
+        _check_symbol(name)
+        args = tuple(args)
+        if not args:
             raise ValueError("a function term needs at least one argument")
+        _set(self, "name", name)
+        _set(self, "args", args)
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
@@ -64,14 +109,14 @@ class Function:
 Term = Union[Constant, Variable, Function]
 
 
-@dataclass(frozen=True)
-class Prop:
+class Prop(_Value):
     """Propositional variable."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        _check_symbol(self.name)
+    def __init__(self, name: str):
+        _check_symbol(name)
+        _set(self, "name", name)
 
     @property
     def symbol(self) -> str:
@@ -81,18 +126,18 @@ class Prop:
         return self.name
 
 
-@dataclass(frozen=True)
-class Pred:
+class Pred(_Value):
     """Predicate applied to terms.  "=" is an ordinary binary predicate here."""
 
-    predicate: str
-    args: "tuple[Term, ...]" = ()
+    __slots__ = ("predicate", "args")
 
-    def __post_init__(self):
-        _check_symbol(self.predicate, allow_eq=True)
-        object.__setattr__(self, "args", tuple(self.args))
-        if self.predicate == "=" and len(self.args) != 2:
+    def __init__(self, predicate: str, args: Iterable[Term] = ()):
+        _check_symbol(predicate, allow_eq=True)
+        args = tuple(args)
+        if predicate == "=" and len(args) != 2:
             raise ValueError("'=' takes exactly two arguments")
+        _set(self, "predicate", predicate)
+        _set(self, "args", args)
 
     @property
     def symbol(self) -> str:
@@ -109,10 +154,12 @@ class Pred:
 Atom = Union[Prop, Pred]
 
 
-@dataclass(frozen=True)
-class Literal:
-    atom: Atom
-    negated: bool = False
+class Literal(_Value):
+    __slots__ = ("atom", "negated")
+
+    def __init__(self, atom: Atom, negated: bool = False):
+        _set(self, "atom", atom)
+        _set(self, "negated", negated)
 
     def __str__(self) -> str:
         return f"¬{self.atom}" if self.negated else str(self.atom)

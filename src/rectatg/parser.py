@@ -27,11 +27,10 @@ RecursionError far from the input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DuplicatePredicateError, EmptySetError, ParseError
-from .logic import Constant, Function, Literal, Pred, Prop, Term, Variable
+from .logic import Constant, Function, Literal, Pred, Prop, Term, Variable, _set, _Value
 
 VAR_STYLES = ("upper", "lower")
 MAX_NESTING = 100
@@ -65,11 +64,13 @@ _KIND_NAMES = {
 _SEPARATORS = frozenset({"COMMA", "SEMI", "NEWLINE"})
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+class _Token(_Value):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "pos", pos)
 
 
 def _tokenize(text: str, keep_newlines: bool) -> list[_Token]:
@@ -182,8 +183,7 @@ class _Parser:
         return self._classify_bare(name)
 
 
-@dataclass(frozen=True)
-class GenerationSet:
+class GenerationSet(_Value):
     """Nonempty ordered literal sequence with pairwise distinct predicate symbols.
 
     Construction checks the invariants: empty input, and any two literals
@@ -191,18 +191,19 @@ class GenerationSet:
     rejected.  Duplicate positions in the error are 1-based.
     """
 
-    literals: tuple[Literal, ...]
+    __slots__ = ("literals",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "literals", tuple(self.literals))
-        if not self.literals:
+    def __init__(self, literals: Iterable[Literal]):
+        literals = tuple(literals)
+        if not literals:
             raise EmptySetError("a generation set needs at least one literal")
         seen: dict[str, int] = {}
-        for i, lit in enumerate(self.literals):
+        for i, lit in enumerate(literals):
             symbol = lit.atom.symbol
             if symbol in seen:
                 raise DuplicatePredicateError(symbol, seen[symbol] + 1, i + 1)
             seen[symbol] = i
+        _set(self, "literals", literals)
 
     @property
     def n(self) -> int:

@@ -142,10 +142,17 @@ class Rectangle:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Rectangle):
             return NotImplemented
-        return self.generators == other.generators and self.rows == other.rows
+        if self.generators != other.generators:
+            return False
+        # Two closed forms over equal generators have equal rows.
+        if self._signs is not None and other._signs is not None:
+            return True
+        return self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.generators, self.rows))
+        # Equal rectangles have equal generators, so this agrees with
+        # __eq__ without laying out the rows.
+        return hash(self.generators)
 
     def __repr__(self) -> str:
         return f"Rectangle(n={self.n}, width={self.width})"
@@ -180,6 +187,11 @@ class ColumnSet(ClauseSet):
 
     def __len__(self) -> int:
         return self.rect.width - len(self.drop)
+
+    def __reduce__(self):
+        # The inherited clauses slot is shadowed by the property above,
+        # so pickle and copy rebuild the view instead of storing slots.
+        return ColumnSet, (self.rect, self.drop)
 
     def texts(self, token: Callable[[Literal], str], sep: str) -> Iterator[str]:
         return self.rect.column_texts(token, sep, self.drop)

@@ -31,11 +31,10 @@ array.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Dict
 
 from .errors import ProductTooLargeError, TooManyAtomsError
-from .logic import Atom, ClauseSet, collect_atoms
+from .logic import Atom, ClauseSet, _set, _Value, collect_atoms
 from .rectangle import Rectangle, remove_clauses
 
 DEFAULT_MAX_ATOMS = 24
@@ -44,10 +43,12 @@ DEFAULT_MAX_PRODUCT = 10**7
 Assignment = Dict[Atom, bool]
 
 
-@dataclass(frozen=True)
-class SatResult:
-    satisfiable: bool
-    witness: Assignment | None = None
+class SatResult(_Value):
+    __slots__ = ("satisfiable", "witness")
+
+    def __init__(self, satisfiable: bool, witness: Assignment | None = None):
+        _set(self, "satisfiable", satisfiable)
+        _set(self, "witness", witness)
 
     @property
     def verdict(self) -> str:
@@ -259,12 +260,14 @@ class Removals(Sequence):
         return len(self._witnesses) - self._witnesses.count(-1)
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(_Value):
     """Outcome of the full-set check plus every single-clause removal."""
 
-    full: SatResult
-    removals: Removals
+    __slots__ = ("full", "removals")
+
+    def __init__(self, full: SatResult, removals: Removals):
+        _set(self, "full", full)
+        _set(self, "removals", removals)
 
     @property
     def ok(self) -> bool:

@@ -7,11 +7,11 @@ through all 2**n sign patterns exactly once, in binary-counter order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, TypeVar
 
 from .errors import IndexOutOfRangeError, InvalidLevelError, SizeCapError
+from .logic import _set, _Value
 
 # Past level 24 the grid would exceed 4e8 cells; callers can lower (or,
 # at their own risk, raise) the cap per call.
@@ -29,10 +29,12 @@ class Marker(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class PolarityTemplate:
-    level: int
-    rows: tuple[tuple[Marker, ...], ...]
+class PolarityTemplate(_Value):
+    __slots__ = ("level", "rows")
+
+    def __init__(self, level: int, rows: tuple[tuple[Marker, ...], ...]):
+        _set(self, "level", level)
+        _set(self, "rows", rows)
 
     @property
     def width(self) -> int:

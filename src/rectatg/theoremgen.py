@@ -15,27 +15,27 @@ built up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EmptyHypothesisError, IndexOutOfRangeError
-from .logic import Clause, ClauseSet, Literal, negate_clause, negate_literal
+from .logic import Clause, ClauseSet, Literal, _set, _Value, negate_clause, negate_literal
 from .parser import GenerationSet
 from .rectangle import construct_from_template, remove_clauses
 from .semantics import DEFAULT_MAX_ATOMS, entails
 from .template import DEFAULT_MAX_LEVEL
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(_Value):
     """Everything needed to rebuild a theorem: generators and the removed columns."""
 
-    generators: GenerationSet
-    removed_indices: tuple[int, ...]
+    __slots__ = ("generators", "removed_indices")
+
+    def __init__(self, generators: GenerationSet, removed_indices: tuple[int, ...]):
+        _set(self, "generators", generators)
+        _set(self, "removed_indices", removed_indices)
 
 
-@dataclass(frozen=True)
-class LiteralConjunction:
+class LiteralConjunction(_Value):
     """Conclusion shape for a one-clause hypothesis: a conjunction of literals.
 
     Negating a single clause distributes to the literal level, so the
@@ -43,17 +43,22 @@ class LiteralConjunction:
     generation literals joined by conjunction.
     """
 
-    literals: tuple[Literal, ...]
+    __slots__ = ("literals",)
+
+    def __init__(self, literals: tuple[Literal, ...]):
+        _set(self, "literals", literals)
 
     def __str__(self) -> str:
         return " ∧ ".join(str(l) for l in self.literals)
 
 
-@dataclass(frozen=True)
-class NegatedConjunction:
+class NegatedConjunction(_Value):
     """Conclusion shape for a multi-clause hypothesis: the negated conjunction."""
 
-    clauses: tuple[Clause, ...]
+    __slots__ = ("clauses",)
+
+    def __init__(self, clauses: tuple[Clause, ...]):
+        _set(self, "clauses", clauses)
 
     def __str__(self) -> str:
         inner = " ∧ ".join(f"({c})" for c in self.clauses)
@@ -63,12 +68,20 @@ class NegatedConjunction:
 Conclusion = LiteralConjunction | NegatedConjunction
 
 
-@dataclass(frozen=True)
-class Theorem:
-    premises: ClauseSet
-    hypothesis_clauses: ClauseSet
-    conclusion: Conclusion
-    provenance: Provenance
+class Theorem(_Value):
+    __slots__ = ("premises", "hypothesis_clauses", "conclusion", "provenance")
+
+    def __init__(
+        self,
+        premises: ClauseSet,
+        hypothesis_clauses: ClauseSet,
+        conclusion: Conclusion,
+        provenance: Provenance,
+    ):
+        _set(self, "premises", premises)
+        _set(self, "hypothesis_clauses", hypothesis_clauses)
+        _set(self, "conclusion", conclusion)
+        _set(self, "provenance", provenance)
 
 
 def generate_theorem(

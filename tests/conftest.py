@@ -47,6 +47,12 @@ def lit(name: str, negated: bool = False) -> Literal:
     return Literal(Prop(name), negated)
 
 
+def replace(value, **changes):
+    """A new value of the same class with the named fields changed."""
+    fields = {name: getattr(value, name) for name in type(value).__slots__}
+    return type(value)(**{**fields, **changes})
+
+
 def clause(*texts: str) -> Clause:
     return Clause(parse_literal(t) for t in texts)
 

@@ -7,7 +7,6 @@ conftest or against a frozen fixture, never against the code under
 test alone.
 """
 
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -43,6 +42,7 @@ from conftest import (
     evaluates_true,
     polarity_oracle_positive,
     random_generation_set,
+    replace,
     satisfies,
     validate_generation_set,
 )
@@ -206,7 +206,7 @@ def check_partitions():
         assert verify_theorem(canonical)
         for k in range(len(tuple(canonical.premises))):
             kept = tuple(canonical.premises)[:k] + tuple(canonical.premises)[k + 1:]
-            weakened = dataclasses.replace(canonical, premises=ClauseSet(kept))
+            weakened = replace(canonical, premises=ClauseSet(kept))
             assert not verify_theorem(weakened)
 
         small = [(j,) for j in range(width)]
@@ -223,7 +223,7 @@ def check_partitions():
             premises = tuple(theorem.premises)
             if premises:
                 k = rng.randrange(len(premises))
-                weakened = dataclasses.replace(
+                weakened = replace(
                     theorem, premises=ClauseSet(premises[:k] + premises[k + 1:])
                 )
                 assert not verify_theorem(weakened)

@@ -518,3 +518,80 @@ def test_any_literal_text_exits_with_a_documented_code(command, style, text):
             code = exc.code
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+_INPUT_COMMANDS = (
+    ("generate",),
+    ("generate", "--verify"),
+    ("generate", "-o", "json", "-H", "1,0"),
+    ("rectangle", "-o", "dimacs"),
+    ("rectangle",),
+    ("check",),
+)
+
+_RECORD = save_record(
+    generate_theorem_with_partition(parse_generation_set("p, ~Q(X, f(a)), r"), (0, 2))
+).encode("utf-8")
+
+
+def _spliced(base: bytes):
+    # base with the bytes between two cut points replaced by a few others.
+    cut = st.integers(0, len(base))
+    return st.tuples(cut, cut, st.binary(max_size=8)).map(
+        lambda t: base[: min(t[:2])] + t[2] + base[max(t[:2]) :]
+    )
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_INPUT_COMMANDS),
+    st.binary(max_size=60)
+    | _LITERAL_TEXT.map(lambda text: text.encode("utf-8"))
+    | _spliced(b"p, ~Q(X, f(a))\nr; S(g(b), Z)"),
+)
+def test_any_literal_file_exits_with_a_documented_code(tmp_path_factory, command, data):
+    source = tmp_path_factory.mktemp("file") / "gens.txt"
+    source.write_bytes(data)
+    argv = [*command, "-f", str(source), "--max-n", "6"]
+    if command[0] != "rectangle":
+        argv += ["--max-atoms", "6"]
+    assert _exit_code(argv) in (0, 2, 3, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=200) | _spliced(_RECORD))
+def test_any_record_file_exits_with_a_documented_code(tmp_path_factory, data):
+    source = tmp_path_factory.mktemp("record") / "theorem.json"
+    source.write_bytes(data)
+    argv = ["check", "--record", str(source), "--max-n", "6", "--max-atoms", "6"]
+    assert _exit_code(argv) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("output, loaded", (("text", set()), ("json", {"json"})))
+def test_startup_imports_neither_dataclasses_inspect_nor_json(output, loaded):
+    # Without site, so that nothing but rectatg and argparse loads modules.
+    probe = (
+        "import sys\n"
+        "from rectatg.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & sys.modules.keys()))\n"
+        "sys.exit(code)\n"
+    )
+    argv = [sys.executable, "-S", "-c", probe, "generate", "-l", "p", "-o", output]
+    done = subprocess.run(
+        argv, capture_output=True, text=True, env=_child_env(True), timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == str(sorted(loaded))

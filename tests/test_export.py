@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -44,6 +43,7 @@ from conftest import (
     matrix_reference,
     random_generation_set,
     record_reference,
+    replace,
 )
 
 DIMACS_TWO_GENERATORS = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
@@ -304,8 +304,8 @@ def test_writers_agree_on_closed_form_explicit_rows_and_clause_objects(
 
     hyp = data.draw(st.lists(st.integers(0, closed.width - 1), min_size=1, max_size=8))
     t = generate_theorem_with_partition(g, hyp)
-    on_rows = dataclasses.replace(t, premises=remove_clauses(explicit, hyp))
-    on_clauses = dataclasses.replace(t, premises=ClauseSet(tuple(on_rows.premises)))
+    on_rows = replace(t, premises=remove_clauses(explicit, hyp))
+    on_clauses = replace(t, premises=ClauseSet(tuple(on_rows.premises)))
     texts = [str(c) for c in on_clauses.premises]
     want = "".join(f"{x}\n" for x in texts) + f"⊢ {t.conclusion}\n"
     assert render_theorem(t) == want
@@ -326,12 +326,12 @@ def test_writers_agree_on_closed_form_explicit_rows_and_clause_objects(
 
 def test_replaced_premises_are_rendered_and_verified():
     t = generate_theorem(parse_generation_set("p, q, r"))
-    swapped = dataclasses.replace(t, premises=ClauseSet(reversed(tuple(t.premises))))
+    swapped = replace(t, premises=ClauseSet(reversed(tuple(t.premises))))
     lines = render_theorem(t).splitlines()
     assert render_theorem(swapped).splitlines() == lines[-2::-1] + lines[-1:]
     assert json.loads(save_record(swapped))["premises"] == lines[-2::-1]
     assert verify_theorem(swapped)
-    shorter = dataclasses.replace(t, premises=ClauseSet(tuple(t.premises)[1:]))
+    shorter = replace(t, premises=ClauseSet(tuple(t.premises)[1:]))
     assert render_theorem(shorter).splitlines() == lines[1:]
     assert export_tptp(shorter).count("axiom") == len(lines) - 2
     assert not verify_theorem(shorter)
@@ -339,7 +339,7 @@ def test_replaced_premises_are_rendered_and_verified():
 
 def test_empty_clause_renders_in_every_writer():
     t = generate_theorem(parse_generation_set("p"))
-    odd = dataclasses.replace(t, premises=ClauseSet((Clause(()), Clause((lit("p"),)))))
+    odd = replace(t, premises=ClauseSet((Clause(()), Clause((lit("p"),)))))
     assert render_theorem(odd) == "□\np\n⊢ ¬p\n"
     assert json.loads(save_record(odd))["premises"] == ["□", "p"]
     assert export_tptp(odd).splitlines()[:2] == [

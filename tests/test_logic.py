@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,15 +12,29 @@ from rectatg import (
     EMPTY_CLAUSE,
     EmptyClauseError,
     Function,
+    GenerationSet,
     Literal,
+    LiteralConjunction,
+    Marker,
+    MinimalityReport,
+    NegatedConjunction,
+    PolarityTemplate,
     Pred,
     Prop,
+    Provenance,
+    SatResult,
+    Theorem,
     Variable,
     collect_atoms,
     complementary,
+    construct_from_template,
+    generate_theorem_with_partition,
     negate_clause,
     negate_literal,
+    parse_generation_set,
+    remove_clauses,
 )
+from rectatg.parser import _Token
 
 from conftest import clause, lit
 
@@ -138,3 +155,147 @@ def test_display_forms():
 def test_collect_atoms_first_appearance_order():
     s = ClauseSet([clause("q", "p"), clause("r", "q")])
     assert collect_atoms(s) == (Prop("q"), Prop("p"), Prop("r"))
+
+
+# Value semantics of the immutable value classes.  Each row is a class
+# and the fields of one instance, in declaration order; ``other`` is an
+# instance of the same class that differs in one field.
+def _value_rows():
+    p, not_q = lit("p"), lit("q", True)
+    gens = GenerationSet((p, not_q))
+    full = SatResult(False)
+    two = (clause("p", "q"), clause("~p"))
+    premises = ClauseSet(two)
+    hypothesis = ClauseSet((clause("p"),))
+    conclusion = LiteralConjunction((not_q,))
+    provenance = Provenance(gens, (0,))
+    markers = ((Marker.POSITIVE, Marker.NEGATIVE),)
+    return [
+        (Constant, {"name": "a"}, Constant("b")),
+        (Variable, {"name": "X"}, Variable("Y")),
+        (Function, {"name": "f", "args": (Constant("a"),)}, Function("f", (Constant("b"),))),
+        (Prop, {"name": "p"}, Prop("q")),
+        (Pred, {"predicate": "P", "args": (Variable("X"),)}, Pred("P")),
+        (Literal, {"atom": Prop("p"), "negated": True}, Literal(Prop("p"))),
+        (_Token, {"kind": "IDENT", "text": "p", "pos": 0}, _Token("IDENT", "p", 1)),
+        (GenerationSet, {"literals": (p, not_q)}, GenerationSet((p,))),
+        (PolarityTemplate, {"level": 1, "rows": markers}, PolarityTemplate(2, markers)),
+        (SatResult, {"satisfiable": False, "witness": None}, SatResult(True)),
+        (MinimalityReport, {"full": full, "removals": (SatResult(True),)},
+         MinimalityReport(full, ())),
+        (Provenance, {"generators": gens, "removed_indices": (0,)}, Provenance(gens, (1,))),
+        (LiteralConjunction, {"literals": (not_q,)}, LiteralConjunction((p,))),
+        (NegatedConjunction, {"clauses": two}, NegatedConjunction(two[:1])),
+        (Theorem, {"premises": premises, "hypothesis_clauses": hypothesis,
+                   "conclusion": conclusion, "provenance": provenance},
+         Theorem(premises, premises, conclusion, provenance)),
+    ]
+
+
+VALUE_ROWS = _value_rows()
+VALUE_IDS = [cls.__name__ for cls, _, _ in VALUE_ROWS]
+
+
+@pytest.mark.parametrize("cls, fields, other", VALUE_ROWS, ids=VALUE_IDS)
+def test_value_equality_and_hash_follow_the_fields(cls, fields, other):
+    value = cls(**fields)
+    assert value == cls(*fields.values())
+    assert hash(value) == hash(cls(*fields.values()))
+    # The hash of the field tuple, so set and dict orders do not move.
+    assert hash(value) == hash(tuple(fields.values()))
+    assert value != other and other != value
+    assert value.__eq__(object()) is NotImplemented
+    assert value != tuple(fields.values())
+
+
+def test_values_of_different_classes_never_compare_equal():
+    assert Prop("p") != Constant("p")
+    assert Constant("a") != Variable("a")
+    assert LiteralConjunction((lit("p"),)) != NegatedConjunction((lit("p"),))
+
+
+@pytest.mark.parametrize("cls, fields, other", VALUE_ROWS, ids=VALUE_IDS)
+def test_value_repr_is_the_field_form(cls, fields, other):
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
+
+
+def test_value_repr_spelled_out():
+    assert repr(Prop("p")) == "Prop(name='p')"
+    assert repr(Literal(Prop("p"))) == "Literal(atom=Prop(name='p'), negated=False)"
+    assert repr(Pred("P", (Function("f", (Variable("X"),)),))) == (
+        "Pred(predicate='P', args=(Function(name='f', args=(Variable(name='X'),)),))"
+    )
+    assert repr(SatResult(True, {Prop("p"): False})) == (
+        "SatResult(satisfiable=True, witness={Prop(name='p'): False})"
+    )
+    assert repr(_Token("END", "", 3)) == "_Token(kind='END', text='', pos=3)"
+
+
+@pytest.mark.parametrize("cls, fields, other", VALUE_ROWS, ids=VALUE_IDS)
+def test_values_cannot_be_changed(cls, fields, other):
+    value = cls(**fields)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == cls(**fields)
+
+
+def test_value_defaults():
+    assert Pred("P").args == ()
+    assert Literal(Prop("p")).negated is False
+    assert SatResult(True).witness is None
+    assert Literal(atom=Prop("p"), negated=True) == Literal(Prop("p"), True)
+    assert SatResult(satisfiable=False) == SatResult(False, None)
+
+
+def test_value_sequences_are_stored_as_tuples():
+    assert Function("f", [Constant("a")]).args == (Constant("a"),)
+    assert Pred("P", [Constant("a")]).args == (Constant("a"),)
+    assert GenerationSet([lit("p")]).literals == (lit("p"),)
+    assert Pred("P", iter([Constant("a")])) == Pred("P", (Constant("a"),))
+
+
+@pytest.mark.parametrize("cls, fields, other", VALUE_ROWS, ids=VALUE_IDS)
+def test_values_survive_pickle_and_copy(cls, fields, other):
+    value = cls(**fields)
+    for again in (
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ):
+        assert type(again) is cls
+        assert again == value
+        assert hash(again) == hash(value)
+        assert repr(again) == repr(value)
+
+
+def test_generated_theorem_survives_pickle_and_copy():
+    theorem = generate_theorem_with_partition(parse_generation_set("p, q, r"), (0, 5))
+    copies = (pickle.loads(pickle.dumps(theorem)), copy.deepcopy(theorem))
+    # The premises stay a view: nothing is built until they are read.
+    assert all(c.premises._kept is None for c in copies)
+    for again in (*copies, copy.copy(theorem)):
+        assert type(again.premises) is type(theorem.premises)
+        assert again == theorem
+        assert hash(again) == hash(theorem)
+        assert str(again.conclusion) == str(theorem.conclusion)
+
+
+def test_removed_columns_survive_pickle_and_copy():
+    premises = remove_clauses(construct_from_template(parse_generation_set("p, q")), (1, 2))
+    for again in (pickle.loads(pickle.dumps(premises)), copy.deepcopy(premises)):
+        assert again.drop == premises.drop
+        assert tuple(again) == tuple(premises)
+
+
+def test_values_match_positional_patterns_by_field_order():
+    for cls, fields, _ in VALUE_ROWS:
+        assert cls.__match_args__ == tuple(fields)
+    match Literal(Prop("p"), True):
+        case Literal(Prop(name), negated):
+            assert (name, negated) == ("p", True)
+        case _:
+            pytest.fail("no match")

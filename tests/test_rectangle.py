@@ -9,6 +9,7 @@ from rectatg import (
     ClauseSet,
     IndexOutOfRangeError,
     Marker,
+    Rectangle,
     SizeCapError,
     complementary,
     construct_from_template,
@@ -197,3 +198,25 @@ def test_closed_form_builds_nothing_until_asked():
     assert rect.n == 3 and rect.width == 8
     assert rect.column(5) == construct_naive(rect.generators).column(5)
     assert rect._rows is None and rect._clauses is None
+
+
+def test_closed_forms_compare_and_hash_without_laying_out_rows():
+    g = parse_generation_set(", ".join(f"p{i:02d}" for i in range(20)))
+    a, b = construct_from_template(g), construct_from_template(g)
+    assert a == b and hash(a) == hash(b)
+    assert a._rows is None and b._rows is None
+    other = construct_from_template(parse_generation_set("p00, ~p01"))
+    assert a != other and other != a
+
+
+def test_closed_form_equals_its_explicit_row_copy():
+    g = parse_generation_set("p, ~q, R(f(X))")
+    closed = construct_from_template(g)
+    explicit = Rectangle(g, construct_naive(g).rows)
+    assert closed == explicit and explicit == closed
+    assert hash(closed) == hash(explicit)
+    # Explicit rows are still compared: a changed cell makes them differ.
+    rows = [list(row) for row in explicit.rows]
+    rows[0][1] = rows[0][0]
+    assert Rectangle(g, rows) != closed and closed != Rectangle(g, rows)
+    assert closed != Rectangle(parse_generation_set("p, ~q, R(f(Y))"), explicit.rows)

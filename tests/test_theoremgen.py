@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -18,7 +17,7 @@ from rectatg import (
     verify_theorem,
 )
 
-from conftest import check_mutual_equivalence, lit, random_generation_set
+from conftest import check_mutual_equivalence, lit, random_generation_set, replace
 
 
 def test_canonical_theorem_for_two_generators():
@@ -111,12 +110,12 @@ def test_deleting_a_premise_breaks_verification():
     t = generate_theorem(parse_generation_set("p, q, r"))
     for drop in range(len(t.premises)):
         kept = ClauseSet(c for i, c in enumerate(t.premises) if i != drop)
-        assert not verify_theorem(dataclasses.replace(t, premises=kept))
+        assert not verify_theorem(replace(t, premises=kept))
 
 
 def test_fresh_atom_conclusion_fails_verification():
     t = generate_theorem(parse_generation_set("p, q"))
-    tampered = dataclasses.replace(
+    tampered = replace(
         t, conclusion=LiteralConjunction((lit("fresh", True),))
     )
     assert not verify_theorem(tampered)
@@ -129,14 +128,14 @@ def test_swapped_conclusion_verifies_only_if_entailed():
 
     # Claiming the negation of column 1 instead: premises stay SAT with
     # column 1 conjoined, so this must fail.
-    not_entailed = dataclasses.replace(
+    not_entailed = replace(
         t, conclusion=NegatedConjunction((rect.clauses[1],))
     )
     assert not verify_theorem(not_entailed)
 
     # Claiming the negation of columns 0 and 1 together: conjoining both
     # restores the full rectangle, so this happens to be entailed.
-    entailed = dataclasses.replace(
+    entailed = replace(
         t, conclusion=NegatedConjunction((rect.clauses[0], rect.clauses[1]))
     )
     assert verify_theorem(entailed)
