@@ -54,6 +54,11 @@ class Rectangle:
         self._clauses: tuple[Clause, ...] | None = None
 
     @property
+    def closed_form(self) -> bool:
+        """True for the closed form, False for a grid of explicit rows."""
+        return self._signs is not None
+
+    @property
     def n(self) -> int:
         return self.generators.n if self._signs is not None else len(self._rows)
 

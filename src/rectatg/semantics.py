@@ -26,19 +26,37 @@ a ``2^k``-byte array costs ``Σ_c 2^(k−|c|)`` marks; the unmarked points
 are the satisfying assignments.  The marks are counts saturated at 2,
 so ``check_minimality`` reads every single-clause removal off the same
 array.
+
+A closed-form rectangle, and a ``ColumnSet`` over one, gives its masks
+without a Clause: every column lists the n generators' atoms in row
+order, so atom i is generator i, and ``Rectangle.column_texts`` sums
+one integer token per cell into each column's packed mask.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import Dict
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
+from operator import eq
+from typing import TYPE_CHECKING, Dict
 
 from .errors import ProductTooLargeError, TooManyAtomsError
-from .logic import Atom, ClauseSet, _set, _Value, collect_atoms
-from .rectangle import Rectangle, remove_clauses
+from .logic import Atom, ClauseSet, _set, _Value
+from .rectangle import ColumnSet, Rectangle, remove_clauses
+
+if TYPE_CHECKING:
+    from array import array
 
 DEFAULT_MAX_ATOMS = 24
 DEFAULT_MAX_PRODUCT = 10**7
+
+# Closed forms narrower than this take the Clause route, so that a small
+# `generate --verify` still builds `Rectangle.clauses` and calls
+# `is_satisfiable`: bench/test_bench.py::
+# test_tracer_wraps_every_lookup_and_restores_it expects both spans.  It
+# is the cut of cli._emit's `< WRITE_BATCH` route, for the same reason,
+# and both go once the library emits its own spans.
+_CLOSED_FORM_MIN_WIDTH = 1024
 
 Assignment = Dict[Atom, bool]
 
@@ -55,17 +73,22 @@ class SatResult(_Value):
         return "SAT" if self.satisfiable else "UNSAT"
 
 
-def _clause_masks(clauses) -> tuple[tuple[Atom, ...], list[tuple[int, int]], set[int]]:
+def _clause_masks(
+    clauses: Iterable, max_atoms: int, index: dict[Atom, int] | None = None
+) -> tuple[tuple[Atom, ...], list[tuple[int, int]], set[int]]:
     """Atoms in first-appearance order, one ``(pos, neg)`` bit-mask pair
     per clause, and the indices of the clauses that hold some atom's
     first appearance.
 
-    Atom i is bit i.  Rectangles reuse one literal object per row and
-    polarity, so literal bits are cached by identity and each atom is
-    hashed once per literal object rather than once per cell.  The ids
-    stay valid because the clauses hold every literal for the whole pass.
+    Atom i is bit i; a given ``index`` numbers the atoms it holds and is
+    extended with the new ones.  The atom cap is checked as each new
+    atom appears, so a set over too many atoms is refused part way.
+    Rectangles reuse one literal object per row and polarity, so literal
+    bits are cached by identity and each atom is hashed once per literal
+    object rather than once per cell.  The ids stay valid because the
+    clauses hold every literal for the whole pass.
     """
-    index: dict[Atom, int] = {}
+    index = {} if index is None else index
     bits: dict[int, tuple[int, int]] = {}
     masks = []
     firsts = set()
@@ -76,6 +99,8 @@ def _clause_masks(clauses) -> tuple[tuple[Atom, ...], list[tuple[int, int]], set
             hit = bits.get(id(lit))
             if hit is None:
                 bit = 1 << index.setdefault(lit.atom, len(index))
+                if len(index) > max_atoms:
+                    raise TooManyAtomsError(len(index), max_atoms)
                 hit = bits[id(lit)] = (0, bit) if lit.negated else (bit, 0)
             pos |= hit[0]
             neg |= hit[1]
@@ -83,6 +108,47 @@ def _clause_masks(clauses) -> tuple[tuple[Atom, ...], list[tuple[int, int]], set
         if len(index) > known:
             firsts.add(j)
     return tuple(index), masks, firsts
+
+
+def _reads_closed_form(rect: Rectangle) -> bool:
+    """Whether the oracles read the rectangle's masks from its closed form."""
+    return rect.closed_form and rect.width >= _CLOSED_FORM_MIN_WIDTH
+
+
+def _closed_columns(clauses) -> ColumnSet | None:
+    """The clause set as a nonempty ColumnSet whose masks are read from
+    its closed form, or None for the Clause route."""
+    if isinstance(clauses, ColumnSet) and len(clauses) and _reads_closed_form(clauses.rect):
+        return clauses
+    return None
+
+
+def _closed_form_index(rect: Rectangle, max_atoms: int) -> dict[Atom, int]:
+    """Atom i is generator i's atom.  The cap is checked on ``rect.n``
+    before anything is built."""
+    if rect.n > max_atoms:
+        raise TooManyAtomsError(rect.n, max_atoms)
+    return {lit.atom: i for i, lit in enumerate(rect.generators)}
+
+
+def _closed_form_masks(
+    rect: Rectangle, index: dict[Atom, int], drop=()
+) -> Iterator[tuple[int, int]]:
+    """``(pos, neg)`` of each closed-form column not in ``drop``, streamed.
+
+    ``column_texts`` joins integer tokens with ``sep = 0``: a positive
+    cell of atom i is ``1 << i`` and a negated one ``(1 << i) << n``, and
+    ``+`` acts as ``|`` on these disjoint bits, so column j sums to
+    ``pos | neg << n``.
+    """
+    n = rect.n
+    low = (1 << n) - 1
+
+    def token(lit):
+        bit = 1 << index[lit.atom]
+        return bit << n if lit.negated else bit
+
+    return ((m & low, m >> n) for m in rect.column_texts(token, 0, drop))
 
 
 def _subcube(pos: int, neg: int, k: int):
@@ -116,7 +182,7 @@ def _subcube(pos: int, neg: int, k: int):
 _BUMP = bytes([1] + [2] * 255)
 
 
-def _cover(masks: list[tuple[int, int]], k: int) -> bytearray:
+def _cover(masks: Iterable[tuple[int, int]], k: int) -> bytearray:
     """How many clauses falsify each assignment, saturated at 2."""
     counts = bytearray(1 << k)
     full = (1 << k) - 1
@@ -150,13 +216,17 @@ def is_satisfiable(
     bytes plus ``Σ_c 2^(k−|c|)`` marks, where ``|c|`` counts the distinct
     atoms of clause c.  The empty clause set is satisfiable (empty
     witness); a set containing the empty clause never is.  The atom
-    bound is checked before the array is allocated.
+    bound is checked before the array is allocated, and for a closed
+    form's columns before any mask is.
     """
-    atoms, masks, _ = _clause_masks(clause_set)
-    k = len(atoms)
-    if k > max_atoms:
-        raise TooManyAtomsError(k, max_atoms)
-    return _result(atoms, _cover(masks, k).find(0))
+    columns = _closed_columns(clause_set)
+    if columns is not None:
+        index = _closed_form_index(columns.rect, max_atoms)
+        atoms = tuple(index)
+        masks = _closed_form_masks(columns.rect, index, columns.drop)
+    else:
+        atoms, masks, _ = _clause_masks(clause_set, max_atoms)
+    return _result(atoms, _cover(masks, len(atoms)).find(0))
 
 
 def is_standard_contradiction(
@@ -227,10 +297,14 @@ class Removals(Sequence):
     """Results of the single-clause removals, built when read.
 
     Removal j is stored as one witness index over the full set's atoms,
-    -1 for UNSAT: an int per removal where a witness dict would hold n
-    entries.  The few removals decided on their own clause set keep
-    their SatResult; their stored index only tells -1 (UNSAT) apart, for
-    the count.
+    -1 for UNSAT, in an ``array('q')``: 8 bytes per removal where a
+    witness dict would hold n entries.  The few removals decided on
+    their own clause set keep their SatResult; their stored index only
+    tells -1 (UNSAT) apart, for the count.
+
+    Two Removals are equal when they have the same length and equal
+    results at every index, as tuples of the results would be.  Like a
+    list, a Removals is unhashable.
     """
 
     __slots__ = ("_atoms", "_witnesses", "_decided")
@@ -238,7 +312,7 @@ class Removals(Sequence):
     def __init__(
         self,
         atoms: tuple[Atom, ...],
-        witnesses: list[int],
+        witnesses: array,
         decided: dict[int, SatResult],
     ):
         self._atoms = atoms
@@ -254,6 +328,16 @@ class Removals(Sequence):
         j = range(len(self))[j]  # IndexError and negative indices as for a tuple
         decided = self._decided.get(j)
         return decided if decided is not None else _result(self._atoms, self._witnesses[j])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Removals):
+            return NotImplemented
+        if not (self._decided or other._decided) and self._atoms == other._atoms:
+            # Over the same atoms, a witness index names one result.
+            return self._witnesses == other._witnesses
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
 
     def sat_count(self) -> int:
         """How many removals are SAT, without building their results."""
@@ -288,23 +372,41 @@ def check_minimality(
     1 uncovered, besides the points no clause covers.  Removal j is SAT
     exactly when one of those exists, and its witness is the lowest of
     them, which is what ``is_satisfiable`` returns on the remaining
-    clauses.  That identity needs the remaining clauses to number their
-    atoms as the full set does, so a column holding some atom's first
-    appearance (column 0 of a rectangle) is decided by
-    ``is_satisfiable`` on what is left.  Cost: one ``2^k``-byte array and
-    ``Σ_c 2^(k−|c|)`` marks, plus the subcube scans of the removals.
+    clauses.  A full clause (every atom, none twice) falsifies the one
+    point ``neg``, so its removal needs one count read.
+
+    The witness identity needs the remaining clauses to number their
+    atoms as the full set does.  In a closed form every column lists all
+    n atoms in row order, so no removal renumbers anything, and its masks
+    are streamed from the closed form twice, for the cover and for the
+    removals.  In a grid of explicit rows, a column holding some atom's
+    first appearance (column 0 of a rectangle) is decided by
+    ``is_satisfiable`` on what is left.  Cost: one ``2^k``-byte array,
+    ``Σ_c 2^(k−|c|)`` marks, the subcube scans of the removals and 8
+    bytes per removal.
 
     Each removal result carries its witness so callers can re-check it
     against the remaining clauses.  The report keeps one witness index
     per removal and builds each result when it is read.
     """
-    atoms, masks, firsts = _clause_masks(rect.clauses)
+    # Only check_minimality loads the array extension, so other commands
+    # start sooner.
+    from array import array
+
+    closed = _reads_closed_form(rect)
+    if closed:
+        index = _closed_form_index(rect, max_atoms)
+        atoms = tuple(index)
+        masks, firsts = _closed_form_masks(rect, index), ()
+    else:
+        atoms, masks, firsts = _clause_masks(rect.clauses, max_atoms)
     k = len(atoms)
-    if k > max_atoms:
-        raise TooManyAtomsError(k, max_atoms)
+    full = (1 << k) - 1
     counts = _cover(masks, k)
     zero = counts.find(0)
-    witnesses = []
+    if closed:
+        masks = _closed_form_masks(rect, index)
+    witnesses = array("q")
     decided = {}
     for j, (pos, neg) in enumerate(masks):
         if j in firsts:
@@ -312,7 +414,11 @@ def check_minimality(
             witnesses.append(0 if result.satisfiable else -1)
             continue
         m = zero
-        if not pos & neg:  # a tautology uncovers nothing
+        if pos | neg == full and not pos & neg:
+            # A full clause falsifies the point neg alone.
+            if counts[neg] == 1 and not 0 <= zero < neg:
+                m = neg
+        elif not pos & neg:  # a tautology uncovers nothing
             for cube in _subcube(pos, neg, k):
                 t = counts[cube].find(1)
                 if t >= 0 and (m < 0 or cube.start + t * cube.step < m):
@@ -325,6 +431,17 @@ def entails(
     premises: ClauseSet, hypothesis: ClauseSet, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> bool:
     """Refutation check: premises entail the negation of the hypothesis
-    conjunction exactly when premises plus hypothesis are unsatisfiable."""
-    combined = ClauseSet(tuple(premises) + tuple(hypothesis))
-    return not is_satisfiable(combined, max_atoms).satisfiable
+    conjunction exactly when premises plus hypothesis are unsatisfiable.
+
+    Premises that are a closed form's columns are covered from their
+    streamed masks, with the hypothesis clauses numbered after the
+    generators' atoms, so the premise clauses are never built.
+    """
+    columns = _closed_columns(premises)
+    if columns is None:
+        combined = ClauseSet(tuple(premises) + tuple(hypothesis))
+        return not is_satisfiable(combined, max_atoms).satisfiable
+    index = _closed_form_index(columns.rect, max_atoms)
+    _, hypothesis_masks, _ = _clause_masks(hypothesis, max_atoms, index)
+    masks = chain(_closed_form_masks(columns.rect, index, columns.drop), hypothesis_masks)
+    return _cover(masks, len(index)).find(0) < 0

@@ -100,6 +100,17 @@ def test_check_reports_minimality(capsys):
     assert out == "full: UNSAT; removals: 4/4 SAT\n"
 
 
+def test_check_at_sixteen_generators_reads_the_closed_form(capsys, monkeypatch):
+    def no_clause_view(rect):
+        raise AssertionError("check built the Clause view")
+
+    monkeypatch.setattr(rectatg.Rectangle, "clauses", property(no_clause_view))
+    literals = ", ".join(f"p{i:02d}" for i in range(16))
+    code, out, err = run(capsys, "check", "-l", literals)
+    assert (code, err) == (0, "")
+    assert out == "full: UNSAT; removals: 65536/65536 SAT\n"
+
+
 def test_check_record_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "generate", "-l", "P1(a), ~P2(f(x))", "-o", "json")
     assert code == 0

@@ -1,6 +1,8 @@
 import itertools
+import pickle
 import tracemalloc
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +21,18 @@ from rectatg import (
     Variable,
     TooManyAtomsError,
     check_minimality,
+    collect_atoms,
     construct_from_template,
     entails,
+    generate_theorem,
+    generate_theorem_with_partition,
     is_satisfiable,
     is_standard_contradiction,
     parse_generation_set,
     remove_clauses,
+    verify_theorem,
 )
+from rectatg import semantics
 
 from conftest import (
     clause,
@@ -35,6 +42,7 @@ from conftest import (
     lit,
     random_clause_set,
     random_generation_set,
+    replace,
     sat_oracle_direct,
     sat_oracle_sweep,
     satisfies,
@@ -343,3 +351,152 @@ def test_minimality_report_keeps_one_index_per_removal():
     assert report.removals[2:4] == (report.removals[2], report.removals[3])
     with pytest.raises(IndexError):
         report.removals[4096]
+
+
+def closed_form_cut(width):
+    """Closed forms at least ``width`` columns wide read their masks from
+    the closed form; 0 sends every closed form that way."""
+    return mock.patch.object(semantics, "_CLOSED_FORM_MIN_WIDTH", width)
+
+
+def mixed_generation_set(n):
+    """n generators, every other one negated, every third one first-order."""
+    return validate_generation_set(
+        Literal(Pred(f"P{i}", (Constant("a"),)) if i % 3 == 2 else Prop(f"q{i}"), i % 2 == 1)
+        for i in range(n)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_closed_form_masks_equal_clause_route_masks(rng, data):
+    g = random_generation_set(rng, max_n=7, first_order=data.draw(st.booleans()))
+    rect = construct_from_template(g)
+    width = rect.width
+    keep = data.draw(st.integers(0, width - 1))
+    drop = data.draw(
+        st.sampled_from(
+            [frozenset(), frozenset({0}), frozenset(range(width)) - {keep}, frozenset(range(width))]
+        )
+        | st.frozensets(st.integers(0, width - 1))
+    )
+    index = semantics._closed_form_index(rect, len(g))
+    got = list(semantics._closed_form_masks(rect, index, drop))
+    assert rect._clauses is None
+    columns = remove_clauses(rect, drop)
+    atoms, want, _ = semantics._clause_masks(list(columns), len(g))
+    assert got == want
+    assert len(got) == width - len(drop)
+    if len(columns):
+        assert tuple(index) == atoms == collect_atoms(columns)
+
+
+@pytest.mark.parametrize("cut", (semantics._CLOSED_FORM_MIN_WIDTH, 0))
+@pytest.mark.parametrize("n", range(1, 11))
+def test_closed_form_and_explicit_rows_give_equal_reports(n, cut):
+    # The explicit copy takes the Clause route with its column-0
+    # fallback; the closed form takes whichever route the cut picks.
+    # Equal reports pin every witness index of both routes.
+    g = mixed_generation_set(n)
+    with closed_form_cut(cut):
+        closed = check_minimality(construct_from_template(g))
+        explicit = check_minimality(Rectangle(g, construct_from_template(g).rows))
+    assert closed == explicit
+    assert closed.ok
+    assert closed.summary() == f"full: UNSAT; removals: {1 << n}/{1 << n} SAT"
+
+
+@pytest.mark.parametrize("first_order", (False, True))
+@settings(max_examples=12, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_closed_form_removals_match_sweep_on_rectangles(first_order, rng):
+    g = random_generation_set(rng, max_n=8, first_order=first_order)
+    with closed_form_cut(0):
+        rect = construct_from_template(g)
+        assert_removals_match_sweep(rect)
+        full = is_satisfiable(rect.clause_set())
+        assert same_result(full, sat_oracle_sweep(rect.clause_set()))
+    assert not full.satisfiable
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_entails_and_verify_agree_across_routes(rng, data):
+    g = random_generation_set(rng, max_n=6)
+    width = 1 << g.n
+    hyp = data.draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width))
+    theorem = generate_theorem_with_partition(g, hyp)
+    # A weaker claim: the hypothesis with one clause dropped is refuted
+    # only when that clause was redundant, which it never is here.
+    hypotheses = [theorem.hypothesis_clauses, ClauseSet(theorem.hypothesis_clauses[1:]),
+                  ClauseSet([Clause([lit("fresh")])])]
+    with closed_form_cut(0):
+        closed = [entails(theorem.premises, h) for h in hypotheses]
+        assert verify_theorem(theorem)
+        # Empty premises take the Clause route, whose view is built.
+        assert theorem.premises.rect._clauses is None or not len(theorem.premises)
+        plain = ClauseSet(tuple(theorem.premises))
+        assert closed == [entails(plain, h) for h in hypotheses]
+        assert closed == [implication_is_tautology(plain, h) for h in hypotheses]
+        assert verify_theorem(replace(theorem, premises=plain))
+    assert closed[0] and not closed[2]
+
+
+def test_oracles_on_a_closed_form_never_build_its_clauses():
+    rect = construct_from_template(mixed_generation_set(12))
+    assert check_minimality(rect).ok
+    assert not is_satisfiable(rect.clause_set()).satisfiable
+    assert is_satisfiable(remove_clauses(rect, (5,))).satisfiable
+    theorem = generate_theorem(rect.generators)
+    assert verify_theorem(theorem)
+    assert rect._clauses is None
+    assert theorem.premises.rect._clauses is None
+    assert theorem.premises._kept is None
+
+
+def test_atom_cap_refuses_before_building_anything():
+    generators = parse_generation_set(", ".join(f"p{i}" for i in range(20)))
+    rect = construct_from_template(generators)
+    with pytest.raises(TooManyAtomsError) as info:
+        check_minimality(rect, 10)
+    assert (info.value.count, info.value.bound) == (20, 10)
+    with pytest.raises(TooManyAtomsError):
+        is_satisfiable(rect.clause_set(), 10)
+    theorem = generate_theorem(generators)
+    with pytest.raises(TooManyAtomsError):
+        verify_theorem(theorem, 10)
+    assert rect._clauses is None
+    assert theorem.premises.rect._clauses is None
+
+
+def test_clause_route_refuses_at_the_first_atom_past_the_cap():
+    atoms = ClauseSet([Clause([lit(f"a{i}")]) for i in range(30)])
+    with pytest.raises(TooManyAtomsError) as info:
+        is_satisfiable(atoms, 10)
+    assert (info.value.count, info.value.bound) == (11, 10)
+
+
+@pytest.mark.parametrize("n", (3, 10))
+def test_minimality_reports_are_values(n):
+    rect = construct_from_template(mixed_generation_set(n))
+    report = check_minimality(rect)
+    assert report == check_minimality(rect)
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert report.removals == check_minimality(Rectangle(rect.generators, rect.rows)).removals
+    with pytest.raises(TypeError):
+        hash(report.removals)
+
+
+def test_removals_differ_where_one_result_does():
+    rect = construct_from_template(mixed_generation_set(3))
+    removals = check_minimality(rect).removals
+    duplicated = Rectangle(rect.generators, [row + row[:1] for row in rect.rows])
+    other = check_minimality(duplicated).removals
+    assert len(other) == len(removals) + 1
+    assert other != removals
+    # Column 0 and its copy stay UNSAT on removal, where the rectangle's
+    # removals are all SAT; the decided entry is compared by result.
+    assert [r.satisfiable for r in other] == [False] + [True] * 7 + [False]
+    trimmed = semantics.Removals(removals._atoms, removals._witnesses[:-1], {})
+    assert trimmed != removals
+    assert removals != tuple(removals)
