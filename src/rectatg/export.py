@@ -4,12 +4,13 @@ Formats are deterministic down to the byte for a fixed input.  DIMACS
 numbering is handed in explicitly through an AtomNumbering so callers
 control the variable order; rectangles number row i as variable i.
 
-Writers read clause text through ``ClauseSet.texts`` and the matrix
-through ``Rectangle.column_texts``.  For a closed-form rectangle and the
-premises cut from it, both render one token per row and polarity and
-join column texts from two half-tables, so emitting builds no Clause
-object and calls ``str`` or the token lookup 2n times, not once per
-cell.
+Writers read clause text through ``ClauseSet.texts``; the matrix reads
+its column widths through ``Rectangle.column_texts`` and its rows
+through ``Rectangle.row_texts``.  For a closed-form rectangle and the
+premises cut from it, these render one token per row and polarity and
+join texts from those tokens (column texts from two half-tables, rows
+by the template's block rule), so emitting builds no Clause object and
+calls ``str`` or the token lookup 2n times per pass, not once per cell.
 
 Each format is a private generator of output pieces (``_matrix_lines``,
 ``_dimacs_lines``, ``_theorem_lines``, ``_tptp_lines``,
@@ -18,9 +19,9 @@ Each format is a private generator of output pieces (``_matrix_lines``,
 ``render_theorem``, ``export_tptp``, ``save_record``) join the same
 generator.  A caller that writes the pieces as they come, as the CLI
 does for large outputs, holds one piece and the half-tables, about
-2^(n/2) texts, instead of the n·2^n-cell output; only the matrix, which
-needs every column's width before its first row, holds its grid of
-n·2^n one-character codes.
+2^(n/2) texts, instead of the n·2^n-cell output.  The matrix, which
+needs every column's width before its first row, holds one width
+character per column and one row of one-character codes at a time.
 """
 
 from __future__ import annotations
@@ -63,10 +64,8 @@ SCHEMA_VERSION = 1
 _TPTP_LOWER_WORD = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
 # Cells per piece of a matrix row: rows are 2^n cells long, so the
-# matrix is yielded a run of cells at a time.  Its grid is stored in
-# blocks of columns, a whole number of runs each.
+# matrix is yielded a run of cells at a time.
 _MATRIX_RUN = 64
-_MATRIX_BLOCK = 4096
 
 
 class AtomNumbering:
@@ -111,11 +110,12 @@ def _matrix_lines(rect: Rectangle) -> Iterator[str]:
     spaces of their own.  A row of 2^n cells is yielded in pieces of
     ``_MATRIX_RUN`` cells; the last piece of a row ends with a newline.
 
-    The grid is read through ``Rectangle.column_texts`` with a one-character
-    code per distinct literal and no separator, so column j is an n-character
-    string and row i of a block of joined columns is every n-th character
-    from i.  Each literal is rendered once, and padded once per column
-    width it occurs at.
+    Each distinct literal gets a one-character code and is rendered
+    once.  Column widths come first, one character ``chr(width)`` per
+    column: ``Rectangle.column_texts`` with each code's text length as
+    the token yields a column's n lengths, and the width is the largest.
+    Then ``Rectangle.row_texts`` lays out one row of codes at a time,
+    and each run of codes is padded by the run of widths under it.
     """
     codes: dict[Literal, str] = {}
     text_of: dict[str, str] = {}
@@ -127,31 +127,20 @@ def _matrix_lines(rect: Rectangle) -> Iterator[str]:
             text_of[found] = str(lit)
         return found
 
-    # The grid is kept as n·2^n codes in blocks of columns, never as 2^n
-    # column strings at once.
-    columns = rect.column_texts(code, "")
-    blocks = []
-    while block := list(islice(columns, _MATRIX_BLOCK)):
-        blocks.append("".join(block))
-    # A column's width is kept as one character, chr(width): with each
-    # code translated to its text's length, it is the largest of the
-    # column's n characters.
-    n, width = rect.n, rect.width
-    length = str.maketrans({c: chr(len(text)) for c, text in text_of.items()})
-    widths = "".join(
-        "".join(map(max, *(grid[i::n] for i in range(n))))
-        for grid in (block.translate(length) for block in blocks)
-    )
+    width = rect.width
+    lengths = rect.column_texts(lambda lit: chr(len(text_of[code(lit)])), "")
+    starts = range(0, width, _MATRIX_RUN)
+    # One string of widths per run of columns: one string of all 2^n
+    # would be joined from a list of 2^n pointers, 8 MiB at n=20.
+    runs = ["".join(map(max, islice(lengths, _MATRIX_RUN))) for _ in starts]
     padded = {
-        c: {w: text.ljust(ord(w)) + "  " for w in set(widths)}
+        c: {w: text.ljust(ord(w)) + "  " for w in set().union(*runs)}
         for c, text in text_of.items()
     }
-    for i in range(n):
-        for start in range(0, width, _MATRIX_RUN):
-            k, a = divmod(start, _MATRIX_BLOCK)
+    for row in rect.row_texts(code):
+        for start, run in zip(starts, runs):
             end = start + _MATRIX_RUN
-            cells = map(padded.__getitem__, blocks[k][i + a * n : (a + _MATRIX_RUN) * n : n])
-            piece = "".join(map(getitem, cells, widths[start:end]))
+            piece = "".join(map(getitem, map(padded.__getitem__, row[start:end]), run))
             # The last piece of a row drops the trailing blanks.
             yield piece if end < width else piece.rstrip() + "\n"
 

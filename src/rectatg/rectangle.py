@@ -7,15 +7,16 @@ column order: cell (i, j) is generator i, complemented when bit i of j
 is set.
 
 ``construct_from_template`` returns the closed form, which stores only
-the generators and their complements.  Its rows (laid out by the template's block rule), its
-clauses and its columns are views built on first use.  Writers never
-need them: ``Rectangle.column_texts`` renders every column's text from
-one token per row and polarity, joined half a column at a time, and
-``remove_clauses`` returns a clause set that answers ``texts`` the same
-way.  A rectangle built from explicit rows (a hand-made grid) keeps
-them and renders column by column.  The level-by-level doubling
-construction lives in the tests as an independent cross-check, and the
-routes must agree cell for cell.
+the generators and their complements.  Its rows, its clauses and its
+columns are views built on first use.  Writers never need them:
+``Rectangle.column_texts`` renders every column's text from one token
+per row and polarity, joined half a column at a time,
+``Rectangle.row_texts`` lays out each row's text by the template's
+block rule, and ``remove_clauses`` returns a clause set that answers
+``texts`` the same way.  A rectangle built from explicit rows (a
+hand-made grid) keeps them and renders them cell by cell.  The
+level-by-level doubling construction lives in the tests as an
+independent cross-check, and the routes must agree cell for cell.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class Rectangle:
     @property
     def rows(self) -> tuple[tuple[Literal, ...], ...]:
         if self._rows is None:
-            self._rows = tuple(map(tuple, _sign_rows(self.n, self._signs)))
+            self._rows = tuple(_sign_rows(self.n, [((p,), (q,)) for p, q in self._signs]))
         return self._rows
 
     @property
@@ -93,6 +94,17 @@ class Rectangle:
             return tuple(row[j] for row in self._rows)
         # Bit i of j picks row i's polarity: the complement when set.
         return tuple(pair[(j >> i) & 1] for i, pair in enumerate(self._signs))
+
+    def row_texts(self, token: Callable[[Literal], str]) -> Iterator[str]:
+        """Each row's cells rendered by ``token`` and joined, in row order.
+
+        The closed form calls ``token`` once per row and polarity and
+        lays out each row as one string by the template's block rule.
+        Explicit rows join their own cells.
+        """
+        if self._signs is None:
+            return ("".join(map(token, row)) for row in self._rows)
+        return _sign_rows(self.n, [(token(pos), token(neg)) for pos, neg in self._signs])
 
     def column_texts(
         self,
@@ -187,7 +199,9 @@ class ColumnSet(ClauseSet):
     def clauses(self) -> tuple[Clause, ...]:
         if self._kept is None:
             drop = self.drop
-            self._kept = tuple(c for j, c in enumerate(self.rect.clauses) if j not in drop)
+            # A view that keeps no column builds no clause to filter.
+            kept = enumerate(self.rect.clauses) if len(self) else ()
+            self._kept = tuple(c for j, c in kept if j not in drop)
         return self._kept
 
     def __len__(self) -> int:

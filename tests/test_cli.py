@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -411,6 +413,41 @@ def test_generate_streams_in_bounded_memory(monkeypatch):
     assert sink.size >= 8_000_000 and sink.writes > 1
     # Held whole, the text alone would take more than its 8 MB.
     assert peak < 3 << 20
+
+
+def test_matrix_streams_in_bounded_memory(monkeypatch):
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["rectangle", "-l", _names(18)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size >= 18 << 20 and sink.writes > 1
+    # n·2^n codes would take 4.5 MiB; the matrix holds 2^n widths and one row.
+    assert peak < 3 << 20
+
+
+def _readme_examples() -> list[tuple[str, str]]:
+    """Each ``$ rectatg …`` line of README.md and the output shown under it."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S):
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M):
+            if chunk.startswith("$ rectatg "):
+                command, _, shown = chunk.partition("\n")
+                examples.append((command[2:], shown.rstrip("\n") + "\n"))
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 5
+    for command, shown in examples:
+        assert main(shlex.split(command)[1:]) == 0, command
+        assert capsys.readouterr().out.encode() == shown.encode(), command
 
 
 FORMATS = (

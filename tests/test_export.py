@@ -141,7 +141,7 @@ def test_matrix_lines_and_columns_align():
 
 
 def test_matrix_spans_several_blocks_of_columns():
-    # 2^13 columns fill two blocks of the grid; the first-order cells
+    # 2^13 columns span many runs of each row; the first-order cells
     # give the columns two widths, interleaved by the low bits.
     rect = rect_for(", ".join(f"P{i}(f(a{i % 3}, X))" if i % 4 else f"p{i}" for i in range(13)))
     assert first_difference(render_matrix(rect), matrix_reference(rect)) is None

@@ -170,7 +170,10 @@ def test_closed_form_column_texts_match_explicit_rows(first_order, rng, data):
         want = list(explicit.column_texts(token, sep, drop))
         assert list(closed.column_texts(token, sep, drop)) == want
         assert len(want) == explicit.width - len(drop)
+        rows = ["".join(map(token, row)) for row in explicit.rows]
+        assert list(closed.row_texts(token)) == rows == list(explicit.row_texts(token))
     assert closed._rows is None and closed._clauses is None
+    assert closed.rows == explicit.rows
 
 
 @settings(max_examples=40, deadline=None)

@@ -433,8 +433,8 @@ def test_entails_and_verify_agree_across_routes(rng, data):
     with closed_form_cut(0):
         closed = [entails(theorem.premises, h) for h in hypotheses]
         assert verify_theorem(theorem)
-        # Empty premises take the Clause route, whose view is built.
-        assert theorem.premises.rect._clauses is None or not len(theorem.premises)
+        # Empty premises take the Clause route, but keep no clause to build.
+        assert theorem.premises.rect._clauses is None
         plain = ClauseSet(tuple(theorem.premises))
         assert closed == [entails(plain, h) for h in hypotheses]
         assert closed == [implication_is_tautology(plain, h) for h in hypotheses]
@@ -452,6 +452,17 @@ def test_oracles_on_a_closed_form_never_build_its_clauses():
     assert rect._clauses is None
     assert theorem.premises.rect._clauses is None
     assert theorem.premises._kept is None
+
+
+def test_an_empty_premise_view_builds_no_clause():
+    # Every column on the hypothesis side: the premise view keeps none,
+    # so the rectangle's 4096 clauses are never built.
+    g = parse_generation_set(", ".join(f"p{i}" for i in range(12)))
+    theorem = generate_theorem_with_partition(g, range(4096))
+    assert len(theorem.premises) == 0
+    assert verify_theorem(theorem)
+    assert theorem.premises.clauses == ()
+    assert theorem.premises.rect._clauses is None
 
 
 def test_atom_cap_refuses_before_building_anything():
