@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -50,11 +49,8 @@ EXIT_CHECK = 4
 # library's 24 goes with a change to the benchmark.
 DEFAULT_CLI_MAX_ATOMS = 20
 
-# Output pieces per sys.stdout.write call.  A piece is one line (one
-# premise of a JSON record, a run of cells of a matrix row), so a batch
-# is a few hundred KiB while the whole output grows as n·2^n.  Batches
-# of 4096 raised the peak RSS of `generate` at n=17 by 2.8 MiB and saved
-# no measurable time.
+# Outputs of fewer clauses than this are rendered whole by the str
+# writers (see _emit); larger ones are streamed.
 WRITE_BATCH = 1024
 
 
@@ -183,18 +179,20 @@ def _check_atom_bound(n: int, max_atoms: int) -> None:
 
 
 def _write(pieces: Iterable[str]) -> None:
-    """Write the pieces to standard output, WRITE_BATCH at a time.
+    """Write each piece to standard output as it comes.
 
+    A writer's piece is one block of about 2^(n/2) lines (for the
+    matrix, one row's segment of 2^(n/2) cells), so an output of n·2^n
+    cells takes O(n·2^(n/2)) writes at most and holds one piece.
     ``sys.stdout`` is looked up here and used only through ``write`` and
     ``flush``, so any object with those two methods can stand in for it.
     A reader that stops early (``| head``) is not an error: rendering
     stops at the first failed write and the command still exits 0.
     """
     out = sys.stdout
-    pieces = iter(pieces)
     try:
-        while batch := list(islice(pieces, WRITE_BATCH)):
-            out.write("".join(batch))
+        for piece in pieces:
+            out.write(piece)
         out.flush()
     except BrokenPipeError:
         _discard(out)
@@ -204,10 +202,10 @@ def _emit(clauses: int, whole: Callable[..., str], lines: Callable[..., Iterator
           *args) -> None:
     """Write one output of the given number of clauses.
 
-    An output of fewer than WRITE_BATCH clauses is about one batch, so
-    its ``str`` writer renders it whole, the route the library's callers
-    and the benchmark's per-layer spans see; a larger one is streamed
-    from the writer's line generator.  Both join the same lines.
+    An output of fewer than WRITE_BATCH clauses is small, so its ``str``
+    writer renders it whole, the route the library's callers and the
+    benchmark's per-layer spans see; a larger one is streamed from the
+    writer's line generator.  Both join the same pieces.
     """
     _write((whole(*args),) if clauses < WRITE_BATCH else lines(*args))
 

@@ -4,32 +4,32 @@ Formats are deterministic down to the byte for a fixed input.  DIMACS
 numbering is handed in explicitly through an AtomNumbering so callers
 control the variable order; rectangles number row i as variable i.
 
-Writers read clause text through ``ClauseSet.texts``; the matrix reads
-its column widths through ``Rectangle.column_texts`` and its rows
-through ``Rectangle.row_texts``.  For a closed-form rectangle and the
-premises cut from it, these render one token per row and polarity and
-join texts from those tokens (column texts from two half-tables, rows
-by the template's block rule), so emitting builds no Clause object and
-calls ``str`` or the token lookup 2n times per pass, not once per cell.
+Writers read clause text through ``ClauseSet.blocks`` and the matrix
+reads a closed form's cells through ``Rectangle.column_blocks``.  For a
+closed-form rectangle and the premises cut from it, these render one
+token per row and polarity and yield one block per pattern of the high
+half of the rows: the shared list of low-half texts and the block's
+high-half text.  A writer turns each block into one output piece with
+a single ``str.join``, so emitting builds no Clause object, calls
+``str`` or the token lookup 2n times, and takes O(2^(n/2)) Python
+steps, not one per line or cell.  Hand-made grids and plain clause
+sets come one clause, or one row, at a time.
 
 Each format is a private generator of output pieces (``_matrix_lines``,
 ``_dimacs_lines``, ``_theorem_lines``, ``_tptp_lines``,
-``_record_lines``), one line or one premise at a time, and the public
-``str`` writers (``render_matrix``, ``export_dimacs``,
-``render_theorem``, ``export_tptp``, ``save_record``) join the same
-generator.  A caller that writes the pieces as they come, as the CLI
-does for large outputs, holds one piece and the half-tables, about
-2^(n/2) texts, instead of the n·2^n-cell output.  The matrix, which
-needs every column's width before its first row, holds one width
-character per column and one row of one-character codes at a time.
+``_record_lines``), and the public ``str`` writers (``render_matrix``,
+``export_dimacs``, ``render_theorem``, ``export_tptp``,
+``save_record``) join the same generator.  A caller that writes the
+pieces as they come, as the CLI does for large outputs, holds one
+block and the half-tables, about 2^(n/2) texts, instead of the
+n·2^n-cell output.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
-from operator import getitem
-from typing import Iterable, Iterator
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     CapExceededError,
@@ -62,10 +62,6 @@ from .theoremgen import (
 SCHEMA_VERSION = 1
 
 _TPTP_LOWER_WORD = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
-
-# Cells per piece of a matrix row: rows are 2^n cells long, so the
-# matrix is yielded a run of cells at a time.
-_MATRIX_RUN = 64
 
 
 class AtomNumbering:
@@ -107,42 +103,47 @@ def _matrix_lines(rect: Rectangle) -> Iterator[str]:
 
     Cells are padded to their column's width and joined with two spaces,
     so columns stay readable even when first-order cells contain single
-    spaces of their own.  A row of 2^n cells is yielded in pieces of
-    ``_MATRIX_RUN`` cells; the last piece of a row ends with a newline.
+    spaces of their own.  A hand-made grid is laid out cell by cell, one
+    row per piece.
 
-    Each distinct literal gets a one-character code and is rendered
-    once.  Column widths come first, one character ``chr(width)`` per
-    column: ``Rectangle.column_texts`` with each code's text length as
-    the token yields a column's n lengths, and the width is the largest.
-    Then ``Rectangle.row_texts`` lays out one row of codes at a time,
-    and each run of codes is padded by the run of widths under it.
+    A closed form is yielded one segment of 2^⌊n/2⌋ cells per row and
+    block of ``Rectangle.column_blocks``; the last segment of a row ends
+    with a newline.  A column is as wide as the wider of its low-half and
+    high-half cells, so the half-tables give every width without a pass
+    over the 2^n columns.  Under one block, a low row's segment depends
+    only on the block's high-half width, and a high row's on that width
+    and the row's cell in the block, so each row builds each distinct
+    segment once and repeats it.
     """
-    codes: dict[Literal, str] = {}
-    text_of: dict[str, str] = {}
-
-    def code(lit: Literal) -> str:
-        found = codes.get(lit)
-        if found is None:
-            found = codes[lit] = chr(len(codes))
-            text_of[found] = str(lit)
-        return found
-
-    width = rect.width
-    lengths = rect.column_texts(lambda lit: chr(len(text_of[code(lit)])), "")
-    starts = range(0, width, _MATRIX_RUN)
-    # One string of widths per run of columns: one string of all 2^n
-    # would be joined from a list of 2^n pointers, 8 MiB at n=20.
-    runs = ["".join(map(max, islice(lengths, _MATRIX_RUN))) for _ in starts]
-    padded = {
-        c: {w: text.ljust(ord(w)) + "  " for w in set().union(*runs)}
-        for c, text in text_of.items()
-    }
-    for row in rect.row_texts(code):
-        for start, run in zip(starts, runs):
-            end = start + _MATRIX_RUN
-            piece = "".join(map(getitem, map(padded.__getitem__, row[start:end]), run))
-            # The last piece of a row drops the trailing blanks.
-            yield piece if end < width else piece.rstrip() + "\n"
+    if not rect.closed_form:
+        rows = [list(map(str, row)) for row in rect.rows]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        for row in rows:
+            yield "  ".join(map(str.ljust, row, widths)).rstrip() + "\n"
+        return
+    # Cells as one-text tuples: each block is the shared tuples of the
+    # low-half cells and the tuple of the block's high-half cells.
+    blocks = list(rect.column_blocks(lambda lit: (str(lit),), ()))
+    lows = blocks[0][0]
+    h = len(lows[0])
+    low_widths = [max(map(len, low), default=0) for low in lows]
+    blocks = [(max(map(len, tail)), tail) for _, tail in blocks]
+    for i in range(rect.n):
+        segments: dict[tuple[int, str | None], str] = {}
+        row = []
+        for width, tail in blocks:
+            high = tail[i - h] if i >= h else None
+            piece = segments.get((width, high))
+            if piece is None:
+                cells = (low[i] for low in lows) if high is None else repeat(high)
+                piece = segments[width, high] = "".join(
+                    cell.ljust(max(w, width)) + "  " for cell, w in zip(cells, low_widths)
+                )
+            row.append(piece)
+        # Every cell has text, so stripping the last segment strips
+        # only the row's trailing padding.
+        row[-1] = row[-1].rstrip() + "\n"
+        yield from row
 
 
 def render_matrix(rect: Rectangle) -> str:
@@ -162,11 +163,13 @@ def _dimacs_lines(clause_set: ClauseSet, numbering: AtomNumbering) -> Iterator[s
     yield f"p cnf {len(numbering)} {len(clause_set)}\n"
 
     def token(lit: Literal) -> str:
+        # Each literal brings its own blank, so the empty clause is "0".
         number = numbering.number(lit.atom)
-        return f"-{number}" if lit.negated else str(number)
+        return f"-{number} " if lit.negated else f"{number} "
 
-    for text in clause_set.texts(token, " "):
-        yield f"{text} 0\n" if text else "0\n"
+    for texts, tail in clause_set.blocks(token, ""):
+        end = tail + "0\n"
+        yield end.join(texts) + end
 
 
 def export_dimacs(clause_set: ClauseSet, numbering: AtomNumbering) -> str:
@@ -252,8 +255,16 @@ def _tptp_lines(theorem: Theorem) -> Iterator[str]:
     """
     premises = theorem.premises
     width = max(4, len(str(len(premises))))
-    for i, text in enumerate(premises.texts(_tptp_literal, " | "), start=1):
-        yield f"cnf(premise_{i:0{width}d}, axiom, {_tptp_clause_text(text)}).\n"
+    start = 1
+    for texts, tail in premises.blocks(_tptp_literal, " | "):
+        # The clauses of a block have equally many literals, so the
+        # first one decides the parentheses for all.
+        first = texts[0] + tail
+        close = "" if _tptp_clause_text(first) == first else ")"
+        axiom = f"cnf(premise_{{:0{width}d}}, axiom, {'(' if close else ''}{{}}".format
+        end = f"{tail}{close}).\n"
+        yield end.join(map(axiom, range(start, start + len(texts)), texts)) + end
+        start += len(texts)
     yield f"fof(conclusion, conjecture, {_conjecture_formula(theorem)}).\n"
 
 
@@ -262,16 +273,21 @@ def export_tptp(theorem: Theorem) -> str:
     return "".join(_tptp_lines(theorem))
 
 
-def _clause_texts(clause_set: ClauseSet) -> Iterator[str]:
-    """``str`` of each clause, the empty clause included, without building
-    the clauses of a rectangle view."""
-    return (text or "□" for text in clause_set.texts(str, " ∨ "))
+def _clause_blocks(
+    clause_set: ClauseSet, token: Callable[[Literal], str] = str
+) -> Iterator[tuple[list[str], str]]:
+    """``clause_set.blocks`` of the clauses' ``str``, literals rendered by
+    ``token``, without building the clauses of a rectangle view.  The
+    empty clause, always a block of its own, renders as □."""
+    for texts, tail in clause_set.blocks(token, " ∨ "):
+        yield (texts, tail) if tail or texts[0] else (["□"], tail)
 
 
 def _theorem_lines(theorem: Theorem) -> Iterator[str]:
     """Plain text lines: one premise per line, then the turnstile line."""
-    for text in _clause_texts(theorem.premises):
-        yield text + "\n"
+    for texts, tail in _clause_blocks(theorem.premises):
+        end = tail + "\n"
+        yield end.join(texts) + end
     yield f"⊢ {theorem.conclusion}\n"
 
 
@@ -341,7 +357,7 @@ def _literal_from_json(data) -> Literal:
 
 
 def _record_lines(theorem: Theorem) -> Iterator[str]:
-    """Versioned JSON form of a theorem, one premise per piece.
+    """Versioned JSON form of a theorem, one block of premises per piece.
 
     Generators are stored structurally (so variable/constant identity
     survives without a parser flag); premises and conclusion are stored
@@ -360,16 +376,21 @@ def _record_lines(theorem: Theorem) -> Iterator[str]:
     }
     # Reopen the dumped head after its last field: drop the closing "\n}".
     yield json.dumps(head, ensure_ascii=False, indent=2)[:-2] + ",\n"
-    premises = _clause_texts(theorem.premises)
-    first = next(premises, None)
-    if first is None:
-        yield '  "premises": [],\n'
-    else:
-        yield f'  "premises": [\n    {encode_basestring(first)}'
-        for text in premises:
-            yield f",\n    {encode_basestring(text)}"
-        yield "\n  ],\n"
-    yield f'  "conclusion": {encode_basestring(str(theorem.conclusion))}\n}}\n'
+
+    def token(lit: Literal) -> str:
+        # JSON escapes a string one character at a time, so a clause's
+        # escaped text is its escaped literals joined by " ∨ ", and □
+        # and " ∨ " need no escaping.
+        return encode_basestring(str(lit))[1:-1]
+
+    lead = '  "premises": [\n    "'
+    empty = True
+    for texts, tail in _clause_blocks(theorem.premises, token):
+        end = tail + '"'
+        yield lead + (end + ',\n    "').join(texts) + end
+        lead, empty = ',\n    "', False
+    conclusion = encode_basestring(str(theorem.conclusion))
+    yield ('  "premises": [],\n' if empty else "\n  ],\n") + f'  "conclusion": {conclusion}\n}}\n'
 
 
 def save_record(theorem: Theorem) -> str:
@@ -434,7 +455,9 @@ def rebuild_record(data: dict, max_level: int = DEFAULT_MAX_LEVEL) -> Theorem:
         raise
     except (RectAtgError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise MalformedRecordError(f"provenance does not rebuild: {exc}") from exc
-    premises = list(_clause_texts(theorem.premises))
+    premises = [
+        text + tail for texts, tail in _clause_blocks(theorem.premises) for text in texts
+    ]
     if data["premises"] != premises or data["conclusion"] != str(theorem.conclusion):
         raise MalformedRecordError(
             "stored premises or conclusion disagree with reconstruction from provenance"

@@ -260,11 +260,20 @@ class ClauseSet:
     def __getitem__(self, i):
         return self.clauses[i]
 
-    def texts(self, token: Callable[[Literal], str], sep: str) -> Iterator[str]:
+    def blocks(
+        self, token: Callable[[Literal], str], sep: str
+    ) -> Iterator[tuple[list[str], str]]:
         """Each clause's literals rendered by ``token`` and joined by ``sep``,
-        in clause order.  The empty clause gives the empty string."""
+        in clause order, in blocks ``(texts, tail)``: each clause of a
+        block is one of ``texts`` followed by ``tail``.
+
+        Here every clause is a block of its own with an empty tail, and
+        the empty clause gives the empty string.  A rectangle view
+        (``rectangle.ColumnSet``) yields larger blocks whose clauses all
+        have the same number of literals.
+        """
         for clause in self.clauses:
-            yield sep.join(map(token, clause.literals))
+            yield [sep.join(map(token, clause.literals))], ""
 
     def __repr__(self) -> str:
         return f"ClauseSet([{', '.join(str(c) for c in self.clauses)}])"

@@ -9,14 +9,16 @@ is set.
 ``construct_from_template`` returns the closed form, which stores only
 the generators and their complements.  Its rows, its clauses and its
 columns are views built on first use.  Writers never need them:
-``Rectangle.column_texts`` renders every column's text from one token
-per row and polarity, joined half a column at a time,
-``Rectangle.row_texts`` lays out each row's text by the template's
-block rule, and ``remove_clauses`` returns a clause set that answers
-``texts`` the same way.  A rectangle built from explicit rows (a
-hand-made grid) keeps them and renders them cell by cell.  The
-level-by-level doubling construction lives in the tests as an
-independent cross-check, and the routes must agree cell for cell.
+``Rectangle.column_blocks`` renders the columns from one token per row
+and polarity as one block per pattern of the high half of the rows, a
+shared list of low-half texts and the block's high-half text, so a
+writer joins a block at a time; ``column_texts`` flattens the same
+blocks column by column, and ``remove_clauses`` returns a clause set
+whose ``blocks`` are the kept columns' blocks.  A rectangle built from
+explicit rows (a hand-made grid) keeps them and renders them cell by
+cell, one block per column.  The level-by-level doubling construction
+lives in the tests as an independent cross-check, and the routes must
+agree cell for cell.
 """
 
 from __future__ import annotations
@@ -95,41 +97,39 @@ class Rectangle:
         # Bit i of j picks row i's polarity: the complement when set.
         return tuple(pair[(j >> i) & 1] for i, pair in enumerate(self._signs))
 
-    def row_texts(self, token: Callable[[Literal], str]) -> Iterator[str]:
-        """Each row's cells rendered by ``token`` and joined, in row order.
-
-        The closed form calls ``token`` once per row and polarity and
-        lays out each row as one string by the template's block rule.
-        Explicit rows join their own cells.
-        """
-        if self._signs is None:
-            return ("".join(map(token, row)) for row in self._rows)
-        return _sign_rows(self.n, [(token(pos), token(neg)) for pos, neg in self._signs])
-
-    def column_texts(
+    def column_blocks(
         self,
         token: Callable[[Literal], str],
         sep: str,
         drop: Collection[int] = (),
-    ) -> Iterator[str]:
-        """Each column's cells rendered by ``token`` and joined by ``sep``,
-        in column order, skipping the column indices in ``drop``.
+    ) -> Iterator[tuple[list[str], str]]:
+        """Column texts, in column order, in blocks ``(lows, tail)``: each
+        column of a block is one of ``lows`` followed by ``tail``.
+
+        A column's text is its cells rendered by ``token`` and joined by
+        ``sep``; the column indices in ``drop`` are skipped, and a block
+        that keeps no column is not yielded.  Explicit rows make one
+        block per column, with an empty tail.
 
         The closed form calls ``token`` once per row and polarity.  The
         cells of the low ⌊n/2⌋ rows of column j depend only on the low
-        bits of j and the other cells only on the high bits, so each half
-        is joined once per bit pattern (2·2^⌈n/2⌉ joins) and a column
-        costs one concatenation.  Explicit rows are joined column by
-        column.
+        bits of j and the other cells only on the high bits, so each
+        half is joined once per bit pattern, 2·2^⌈n/2⌉ joins in all.
+        There is one block per pattern of the high bits: ``tail`` is
+        ``sep`` and that pattern's high-half text, and ``lows`` is the
+        low-half text of every pattern of the low bits.  Every block
+        shares one ``lows`` list, copied only for a block that holds a
+        dropped column, so callers must not change it.
 
         The closed form only concatenates, so tokens of any type that
-        ``+`` joins will do: one-literal tuples with ``sep=()`` yield the
-        column tuples the clause view is built from.
+        ``+`` joins will do: one-literal tuples with ``sep=()`` give the
+        column tuples of the clause view, and integers with ``sep=0``
+        the oracles' clause masks.
         """
         if self._signs is None:
             for j, col in enumerate(zip(*self._rows)):
                 if j not in drop:
-                    yield sep.join(map(token, col))
+                    yield [sep.join(map(token, col))], sep * 0
             return
         tokens = [(token(pos), token(neg)) for pos, neg in self._signs]
         h = len(tokens) // 2
@@ -142,16 +142,36 @@ class Rectangle:
                 joined = [t + sep + pos for t in joined] + [t + sep + neg for t in joined]
             return joined
 
-        hi = half(tokens[h:])
         if h:
-            lo = half(tokens[:h])
-            # Column j is lo[j % 2^h] + sep + hi[j >> h], so hi varies slowest.
-            texts = (low + sep + high for high in hi for low in lo)
+            lows = half(tokens[:h])
+            tails = [sep + high for high in half(tokens[h:])]
         else:
-            texts = iter(hi)
-        if drop:
-            texts = (text for j, text in enumerate(texts) if j not in drop)
-        yield from texts
+            # One row: one empty low half (sep * 0 is the empty value of
+            # sep's type) and one column per block.
+            lows, tails = [sep * 0], half(tokens)
+        # Column j is lows[j % 2^h] + tails[j >> h].
+        dropped: dict[int, set[int]] = {}
+        for j in drop:
+            dropped.setdefault(j >> h, set()).add(j & ((1 << h) - 1))
+        for b, tail in enumerate(tails):
+            gone = dropped.get(b)
+            if gone is None:
+                yield lows, tail
+            elif len(gone) < len(lows):
+                yield [low for m, low in enumerate(lows) if m not in gone], tail
+
+    def column_texts(
+        self,
+        token: Callable[[Literal], str],
+        sep: str,
+        drop: Collection[int] = (),
+    ) -> Iterator[str]:
+        """Each column's cells rendered by ``token`` and joined by ``sep``,
+        in column order, skipping the column indices in ``drop``: the
+        blocks of ``column_blocks``, one column at a time."""
+        for lows, tail in self.column_blocks(token, sep, drop):
+            for low in lows:
+                yield low + tail
 
     def clause_set(self) -> ClauseSet:
         return ColumnSet(self, frozenset())
@@ -184,8 +204,8 @@ class ColumnSet(ClauseSet):
     """The columns of a rectangle, minus the dropped ones, as a clause set.
 
     The Clause tuple is built only when the set is iterated, indexed or
-    compared.  ``len`` needs nothing built, and ``texts`` renders through
-    ``Rectangle.column_texts``.
+    compared.  ``len`` needs nothing built, and ``blocks`` renders through
+    ``Rectangle.column_blocks``.
     """
 
     __slots__ = ("rect", "drop", "_kept")
@@ -212,8 +232,10 @@ class ColumnSet(ClauseSet):
         # so pickle and copy rebuild the view instead of storing slots.
         return ColumnSet, (self.rect, self.drop)
 
-    def texts(self, token: Callable[[Literal], str], sep: str) -> Iterator[str]:
-        return self.rect.column_texts(token, sep, self.drop)
+    def blocks(
+        self, token: Callable[[Literal], str], sep: str
+    ) -> Iterator[tuple[list[str], str]]:
+        return self.rect.column_blocks(token, sep, self.drop)
 
 
 def construct_from_template(

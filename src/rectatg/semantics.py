@@ -54,8 +54,9 @@ DEFAULT_MAX_PRODUCT = 10**7
 # `generate --verify` still builds `Rectangle.clauses` and calls
 # `is_satisfiable`: bench/test_bench.py::
 # test_tracer_wraps_every_lookup_and_restores_it expects both spans.  It
-# is the cut of cli._emit's `< WRITE_BATCH` route, for the same reason,
-# and both go once the library emits its own spans.
+# equals cli.WRITE_BATCH, which now only sets where cli._emit switches
+# from the whole `str` writers to streamed blocks, for the same reason;
+# both cuts go once the library emits its own spans.
 _CLOSED_FORM_MIN_WIDTH = 1024
 
 Assignment = Dict[Atom, bool]

@@ -37,7 +37,7 @@ from rectatg import (
     negate_literal,
     parse_literal,
 )
-from rectatg.export import _literal_to_json
+from rectatg.export import _conjecture_formula, _literal_to_json, _tptp_literal
 
 # GenerationSet checks its own invariants; tests keep the older name.
 validate_generation_set = GenerationSet
@@ -231,6 +231,47 @@ def record_reference(theorem) -> str:
         "conclusion": str(theorem.conclusion),
     }
     return json.dumps(record, ensure_ascii=False, indent=2) + "\n"
+
+
+def theorem_reference(theorem) -> str:
+    """A theorem's plain text clause by clause: ``str`` of each premise
+    (□ for the empty clause) on its own line, then the turnstile line."""
+    return "".join(f"{c}\n" for c in theorem.premises) + f"⊢ {theorem.conclusion}\n"
+
+
+def dimacs_reference(clauses, atoms) -> str:
+    """DIMACS clause by clause: atom comments when any atom is a
+    predicate, the header, then each clause's signed numbers and 0."""
+    number = {atom: i for i, atom in enumerate(atoms, start=1)}
+    lines = [f"c {i} {atom}" for atom, i in number.items()] if any(
+        isinstance(atom, Pred) for atom in atoms) else []
+    lines.append(f"p cnf {len(atoms)} {len(clauses)}")
+    for c in clauses:
+        lines.append(" ".join([f"{'-' if l.negated else ''}{number[l.atom]}" for l in c] + ["0"]))
+    return "".join(line + "\n" for line in lines)
+
+
+def tptp_reference(theorem) -> str:
+    """TPTP clause by clause: one numbered cnf axiom per premise, in
+    parentheses unless it has exactly one literal, then the conjecture."""
+    premises = tuple(theorem.premises)
+    digits = max(4, len(str(len(premises))))
+    lines = []
+    for k, c in enumerate(premises, start=1):
+        parts = [_tptp_literal(l) for l in c.literals]
+        body = parts[0] if len(parts) == 1 else f"({' | '.join(parts)})"
+        lines.append(f"cnf(premise_{k:0{digits}d}, axiom, {body}).")
+    lines.append(f"fof(conclusion, conjecture, {_conjecture_formula(theorem)}).")
+    return "".join(line + "\n" for line in lines)
+
+
+def unchecked_prop(name: str) -> Prop:
+    """A propositional atom with any name.  The parser and Prop only
+    admit ASCII word characters; this reaches the JSON escaping of names
+    a future syntax might allow."""
+    atom = object.__new__(Prop)
+    object.__setattr__(atom, "name", name)
+    return atom
 
 
 def polarity_oracle_positive(row: int, column: int) -> bool:

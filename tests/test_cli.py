@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 import rectatg
 from rectatg import (
     AtomNumbering,
+    ClauseSet,
+    GenerationSet,
+    Literal,
     MalformedRecordError,
     construct_from_template,
     export_dimacs,
@@ -32,7 +35,17 @@ from rectatg import cli, export
 from rectatg.cli import main
 from rectatg.parser import MAX_NESTING
 
-from conftest import first_difference
+from conftest import (
+    construct_naive,
+    dimacs_reference,
+    first_difference,
+    matrix_reference,
+    record_reference,
+    replace,
+    theorem_reference,
+    tptp_reference,
+    unchecked_prop,
+)
 
 THEOREM_TEXT = "¬p ∨ q\np ∨ ¬q\n¬p ∨ ¬q\n⊢ ¬p ∧ ¬q\n"
 DIMACS_TWO_GENERATORS = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
@@ -384,16 +397,95 @@ def test_stdout_matches_the_string_writers(capsys, literals, hypothesis):
         assert first_difference(out, want) is None, (command, output)
 
 
+def _fo_names(n: int) -> str:
+    return ", ".join(f"P{i}(f(a{i % 3}, X))" if i % 2 else f"~p{i}" for i in range(n))
+
+
+def _block_references(g, hypothesis):
+    """Each format's expected output, rendered clause by clause from the
+    level-by-level grid: independent of the writers' blocks."""
+    naive = construct_naive(g)
+    drop = set(hypothesis)
+    premises = ClauseSet(c for j, c in enumerate(naive.clauses) if j not in drop)
+    t = replace(generate_theorem_with_partition(g, hypothesis), premises=premises)
+    atoms = AtomNumbering.from_rectangle(naive).atoms
+    return {
+        "matrix": matrix_reference(naive) + "\n",
+        "dimacs": dimacs_reference(naive.clauses, atoms),
+        "text": theorem_reference(t),
+        "tptp": tptp_reference(t),
+        "json": record_reference(t),
+    }
+
+
+# The writers yield one block per pattern of the high ⌈n/2⌉ rows, so
+# column j sits in block j >> ⌊n/2⌋, a block of 2^⌊n/2⌋ columns.
+@pytest.mark.parametrize(
+    "n, first_order, hypothesis",
+    (
+        (1, False, (1,)),
+        (2, True, (3, 0)),
+        # Blocks of 32 columns: drops straddling blocks 0|1 and 2|3.
+        (11, False, (31, 32, 95, 96)),
+        # Blocks of 64 columns: every column of block 5.
+        (12, False, tuple(range(320, 384))),
+        # Every column of block 1, a straddle of blocks 2|3, and the last
+        # column, with first-order cells.
+        (13, True, tuple(range(64, 128)) + (191, 192, 8191)),
+        (14, False, (0,)),
+    ),
+)
+def test_streamed_blocks_match_the_references(capsys, n, first_order, hypothesis):
+    literals = _fo_names(n) if first_order else _names(n)
+    g = parse_generation_set(literals)
+    rect = construct_from_template(g)
+    t = generate_theorem_with_partition(g, hypothesis)
+    h = ("-H", ",".join(map(str, hypothesis)))
+    whole = {
+        "matrix": render_matrix(rect) + "\n",
+        "dimacs": export_dimacs(rect.clause_set(), AtomNumbering.from_rectangle(rect)),
+        "text": render_theorem(t),
+        "tptp": export_tptp(t),
+        "json": save_record(t),
+    }
+    references = _block_references(g, hypothesis)
+    for command, output in FORMATS:
+        extra = h if command == "generate" else ()
+        code, out, err = run(capsys, command, "-l", literals, "-o", output, *extra)
+        assert (code, err) == (0, ""), output
+        assert first_difference(out, whole[output]) is None, output
+        assert first_difference(out, references[output]) is None, output
+
+
+@pytest.mark.parametrize("n", (11, 12))
+def test_streamed_record_escapes_names_across_blocks(capsys, n):
+    names = ('say "hi"', "back\\slash", "Prädikat\n\t☃")
+    g = GenerationSet(
+        tuple(Literal(unchecked_prop(f"{names[i % 3]}{i}"), i % 2 == 1) for i in range(n))
+    )
+    # Drops straddling the blocks of 32 (n=11) or 64 (n=12) columns.
+    hypothesis = (31, 32, 63, 64)
+    t = generate_theorem_with_partition(g, hypothesis)
+    assert len(t.premises) >= cli.WRITE_BATCH
+    # The route `generate -o json` takes for an output this large.
+    cli._emit(len(t.premises), save_record, export._record_lines, t)
+    out = capsys.readouterr().out
+    assert first_difference(out, save_record(t)) is None
+    assert first_difference(out, _block_references(g, hypothesis)["json"]) is None
+
+
 class CountingSink:
     """A stand-in for sys.stdout with only write and flush."""
 
     def __init__(self):
         self.writes = 0
         self.size = 0
+        self.lines = 0
 
     def write(self, text: str) -> int:
         self.writes += 1
         self.size += len(text.encode("utf-8"))
+        self.lines += text.count("\n")
         return len(text)
 
     def flush(self) -> None:
@@ -430,6 +522,23 @@ def test_matrix_streams_in_bounded_memory(monkeypatch):
     assert peak < 3 << 20
 
 
+@pytest.mark.parametrize(
+    "command, output", (("rectangle", "dimacs"), ("generate", "tptp"), ("generate", "json"))
+)
+def test_other_large_outputs_stream_in_bounded_memory(monkeypatch, command, output):
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main([command, "-l", _names(18), "-o", output])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size >= 8_000_000 and sink.writes > 1
+    assert peak < 3 << 20
+
+
 def _readme_examples() -> list[tuple[str, str]]:
     """Each ``$ rectatg …`` line of README.md and the output shown under it."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -457,6 +566,24 @@ FORMATS = (
     ("generate", "tptp"),
     ("generate", "json"),
 )
+
+
+@pytest.mark.parametrize("command, output", FORMATS)
+def test_large_outputs_are_written_a_block_at_a_time(monkeypatch, command, output):
+    n = 16
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main([command, "-l", _names(n), "-o", output]) == 0
+    blocks = 1 << (n - n // 2)
+    if output == "matrix":
+        # One write per row and block: n·2^⌈n/2⌉ against n·2^n cells.
+        assert sink.lines == n
+        assert 1 < sink.writes <= n * blocks + 4
+    else:
+        # One write per block, plus the header and closing lines, against
+        # 2^n clause lines.
+        assert sink.lines >= 1 << n
+        assert 1 < sink.writes <= blocks + n + 4
 
 
 WRITERS = ("render_matrix", "export_dimacs", "render_theorem", "export_tptp", "save_record")

@@ -44,6 +44,7 @@ from conftest import (
     random_generation_set,
     record_reference,
     replace,
+    unchecked_prop,
 )
 
 DIMACS_TWO_GENERATORS = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
@@ -350,18 +351,10 @@ def test_empty_clause_renders_in_every_writer():
     assert export_dimacs(odd.premises, numbering) == "p cnf 1 2\n0\n1 0\n"
 
 
-def _unchecked_prop(name: str) -> Prop:
-    # The parser and Prop only admit ASCII word characters; this reaches
-    # the JSON escaping of names a future syntax might allow.
-    atom = object.__new__(Prop)
-    object.__setattr__(atom, "name", name)
-    return atom
-
-
 @pytest.mark.parametrize("hypothesis", ((0,), (3, 1), tuple(range(8))))
 def test_record_streams_names_that_json_escapes(hypothesis):
     names = ('say "hi"', "back\\slash", "Prädikat\n\t☃")
-    odd = GenerationSet(tuple(Literal(_unchecked_prop(x), i == 1) for i, x in enumerate(names)))
+    odd = GenerationSet(tuple(Literal(unchecked_prop(x), i == 1) for i, x in enumerate(names)))
     t = generate_theorem_with_partition(odd, hypothesis)
     assert save_record(t) == record_reference(t)
 

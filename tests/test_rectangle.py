@@ -170,8 +170,15 @@ def test_closed_form_column_texts_match_explicit_rows(first_order, rng, data):
         want = list(explicit.column_texts(token, sep, drop))
         assert list(closed.column_texts(token, sep, drop)) == want
         assert len(want) == explicit.width - len(drop)
-        rows = ["".join(map(token, row)) for row in explicit.rows]
-        assert list(closed.row_texts(token)) == rows == list(explicit.row_texts(token))
+        # The blocks flatten to the same texts; none is empty, and the
+        # closed form's blocks that drop nothing share one low-half list.
+        for rect in (closed, explicit):
+            blocks = list(rect.column_blocks(token, sep, drop))
+            assert [low + tail for lows, tail in blocks for low in lows] == want
+            assert all(lows for lows, _ in blocks)
+        full = [lows for lows, _ in closed.column_blocks(token, sep, drop)
+                if len(lows) == 1 << (closed.n // 2)]
+        assert all(lows is full[0] for lows in full)
     assert closed._rows is None and closed._clauses is None
     assert closed.rows == explicit.rows
 
