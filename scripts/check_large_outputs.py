@@ -8,9 +8,14 @@ jobs with eight seeded hypothesis columns) on seeded propositional sets
 of n generators, each in a fresh process on the sources under ``src/``.
 Each stdout is compared with the reference that ``bench/inputs.py``
 rebuilds from the bit rule, through its ``compare_lines``,
-``compare_record`` and ``compare_tptp``.  The benchmark's own jobs stop
-at n=18; an odd and an even n cover both ways of splitting the rows
-into the writers' two halves.  Exits 1 if any output differs.
+``compare_record`` and ``compare_tptp``.  Then, for each n, ``check``
+and ``generate --verify`` (eight hypothesis columns) run the oracles,
+and their stdout is compared through ``compare_lines`` with
+``check_summary`` and ``theorem_lines``; n=20 is the CLI's default atom
+cap.  The benchmark's own jobs stop at n=18, and its ``check`` jobs at
+n=9; an odd and an even n cover both ways of splitting the rows into
+the writers' two halves.  Exits 1 if any output differs or any exit
+code is not the expected one.
 """
 
 from __future__ import annotations
@@ -38,13 +43,20 @@ def main(argv: list[str]) -> int:
                 jobs.rectangle(inputs.prop_set(jobs.rng, n), output, as_file=False)
             for output in ("text", "json", "tptp"):
                 jobs.generate(inputs.prop_set(jobs.rng, n), output, as_file=False, columns=8)
+        for n in sizes:
+            summary = inputs.check_summary(n)
+            argv = ["check", *jobs.literals(inputs.prop_set(jobs.rng, n), as_file=False)]
+            jobs.add(f"check-n{n}", argv, lambda p, s=summary: inputs.compare_lines(p, [s]),
+                     size=f"n={n}")
+            jobs.generate(inputs.prop_set(jobs.rng, n), "text", as_file=False, columns=8,
+                          verify=True)
         out = Path(work) / "stdout"
         for job in jobs.workload.jobs:
             with open(out, "wb") as f:
                 argv = [sys.executable, "-m", "rectatg", *job.argv]
                 code = subprocess.run(argv, stdout=f, env=env).returncode
             error = f"exit code {code}" if code != job.code else job.check(out)
-            print(f"{job.name:<24} {job.size:<28} {error or 'ok'}", flush=True)
+            print(f"{job.name:<28} {job.size:<28} {error or 'ok'}", flush=True)
             failed += error is not None
     return 1 if failed else 0
 

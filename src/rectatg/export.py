@@ -5,15 +5,14 @@ numbering is handed in explicitly through an AtomNumbering so callers
 control the variable order; rectangles number row i as variable i.
 
 Writers read clause text through ``ClauseSet.blocks`` and the matrix
-reads a closed form's cells through ``Rectangle.column_blocks``.  For a
-closed-form rectangle and the premises cut from it, these render one
-token per row and polarity and yield one block per pattern of the high
-half of the rows: the shared list of low-half texts and the block's
-high-half text.  A writer turns each block into one output piece with
-a single ``str.join``, so emitting builds no Clause object, calls
-``str`` or the token lookup 2n times, and takes O(2^(n/2)) Python
-steps, not one per line or cell.  Hand-made grids and plain clause
-sets come one clause, or one row, at a time.
+reads a rectangle's cells through ``Rectangle.column_blocks``.  For a
+rectangle and the premises cut from it, these render one token per row
+and polarity and yield one block per pattern of the high half of the
+rows: the shared list of low-half texts and the block's high-half text.
+A writer turns each block into one output piece with a single
+``str.join``, so emitting builds no Clause object, calls ``str`` or the
+token lookup 2n times, and takes O(2^(n/2)) Python steps, not one per
+line or cell.  Plain clause sets come one clause at a time.
 
 Each format is a private generator of output pieces (``_matrix_lines``,
 ``_dimacs_lines``, ``_theorem_lines``, ``_tptp_lines``,
@@ -103,24 +102,17 @@ def _matrix_lines(rect: Rectangle) -> Iterator[str]:
 
     Cells are padded to their column's width and joined with two spaces,
     so columns stay readable even when first-order cells contain single
-    spaces of their own.  A hand-made grid is laid out cell by cell, one
-    row per piece.
+    spaces of their own.
 
-    A closed form is yielded one segment of 2^⌊n/2⌋ cells per row and
-    block of ``Rectangle.column_blocks``; the last segment of a row ends
-    with a newline.  A column is as wide as the wider of its low-half and
+    Each row is yielded one segment of 2^⌊n/2⌋ cells per block of
+    ``Rectangle.column_blocks``; the last segment of a row ends with a
+    newline.  A column is as wide as the wider of its low-half and
     high-half cells, so the half-tables give every width without a pass
     over the 2^n columns.  Under one block, a low row's segment depends
     only on the block's high-half width, and a high row's on that width
     and the row's cell in the block, so each row builds each distinct
     segment once and repeats it.
     """
-    if not rect.closed_form:
-        rows = [list(map(str, row)) for row in rect.rows]
-        widths = [max(map(len, column)) for column in zip(*rows)]
-        for row in rows:
-            yield "  ".join(map(str.ljust, row, widths)).rstrip() + "\n"
-        return
     # Cells as one-text tuples: each block is the shared tuples of the
     # low-half cells and the tuple of the block's high-half cells.
     blocks = list(rect.column_blocks(lambda lit: (str(lit),), ()))

@@ -6,24 +6,22 @@ generator or its complement in every combination, in binary-counter
 column order: cell (i, j) is generator i, complemented when bit i of j
 is set.
 
-``construct_from_template`` returns the closed form, which stores only
-the generators and their complements.  Its rows, its clauses and its
-columns are views built on first use.  Writers never need them:
+A ``Rectangle`` is that closed form: it stores only the generators and
+their complements.  Its rows, its clauses and its columns are views
+built on first use.  Writers never need them:
 ``Rectangle.column_blocks`` renders the columns from one token per row
 and polarity as one block per pattern of the high half of the rows, a
 shared list of low-half texts and the block's high-half text, so a
 writer joins a block at a time; ``column_texts`` flattens the same
 blocks column by column, and ``remove_clauses`` returns a clause set
-whose ``blocks`` are the kept columns' blocks.  A rectangle built from
-explicit rows (a hand-made grid) keeps them and renders them cell by
-cell, one block per column.  The level-by-level doubling construction
-lives in the tests as an independent cross-check, and the routes must
-agree cell for cell.
+whose ``blocks`` are the kept columns' blocks.  The level-by-level
+doubling construction lives in the tests as an independent
+cross-check, and the routes must agree cell for cell.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import IndexOutOfRangeError, SizeCapError
 from .logic import Clause, ClauseSet, Literal, negate_literal
@@ -32,42 +30,28 @@ from .template import DEFAULT_MAX_LEVEL, _sign_rows
 
 
 class Rectangle:
-    """Literal grid plus its clause view.
+    """The closed-form literal grid over the generators, plus its views.
 
-    ``Rectangle(generators)`` is the closed form over the generators and
-    ``Rectangle(generators, rows)`` holds the given grid.  Either way
-    clause j is column j read top to bottom.  The closed form's rows
+    Clause j is column j read top to bottom.  The rows and the clauses
     reuse one literal object per row and polarity.
     """
 
     __slots__ = ("generators", "_signs", "_rows", "_clauses")
 
-    def __init__(
-        self, generators: GenerationSet, rows: Sequence[Sequence[Literal]] | None = None
-    ):
+    def __init__(self, generators: GenerationSet):
         self.generators = generators
-        # The closed form keeps one (literal, complement) pair per row,
-        # shared by every view; explicit rows keep the grid instead.
-        self._signs = (
-            [(lit, negate_literal(lit)) for lit in generators] if rows is None else None
-        )
-        self._rows: tuple[tuple[Literal, ...], ...] | None = (
-            None if rows is None else tuple(tuple(r) for r in rows)
-        )
+        # One (literal, complement) pair per row, shared by every view.
+        self._signs = [(lit, negate_literal(lit)) for lit in generators]
+        self._rows: tuple[tuple[Literal, ...], ...] | None = None
         self._clauses: tuple[Clause, ...] | None = None
 
     @property
-    def closed_form(self) -> bool:
-        """True for the closed form, False for a grid of explicit rows."""
-        return self._signs is not None
-
-    @property
     def n(self) -> int:
-        return self.generators.n if self._signs is not None else len(self._rows)
+        return self.generators.n
 
     @property
     def width(self) -> int:
-        return 1 << self.generators.n if self._signs is not None else len(self._rows[0])
+        return 1 << self.generators.n
 
     @property
     def rows(self) -> tuple[tuple[Literal, ...], ...]:
@@ -78,22 +62,12 @@ class Rectangle:
     @property
     def clauses(self) -> tuple[Clause, ...]:
         if self._clauses is None:
-            # The closed form joins one-literal tuples instead of zipping
-            # laid-out rows: freeing n row lists of 2**n slots under the
-            # clauses stranded them on the glibc heap and raised peak RSS
-            # of `generate --verify` at n=14 by 6%.
-            if self._signs is not None:
-                columns = self.column_texts(_cell, ())
-            else:
-                columns = zip(*self._rows)
-            self._clauses = tuple(map(Clause, columns))
+            self._clauses = tuple(map(Clause, self.column_texts(_cell, ())))
         return self._clauses
 
     def column(self, j: int) -> tuple[Literal, ...]:
         if not 0 <= j < self.width:
             raise IndexOutOfRangeError(f"column {j} not in 0..{self.width - 1}")
-        if self._signs is None:
-            return tuple(row[j] for row in self._rows)
         # Bit i of j picks row i's polarity: the complement when set.
         return tuple(pair[(j >> i) & 1] for i, pair in enumerate(self._signs))
 
@@ -108,29 +82,23 @@ class Rectangle:
 
         A column's text is its cells rendered by ``token`` and joined by
         ``sep``; the column indices in ``drop`` are skipped, and a block
-        that keeps no column is not yielded.  Explicit rows make one
-        block per column, with an empty tail.
+        that keeps no column is not yielded.
 
-        The closed form calls ``token`` once per row and polarity.  The
-        cells of the low ⌊n/2⌋ rows of column j depend only on the low
-        bits of j and the other cells only on the high bits, so each
-        half is joined once per bit pattern, 2·2^⌈n/2⌉ joins in all.
+        ``token`` is called once per row and polarity.  The cells of the
+        low ⌊n/2⌋ rows of column j depend only on the low bits of j and
+        the other cells only on the high bits, so each half is joined
+        once per bit pattern, 2·2^⌈n/2⌉ joins in all.
         There is one block per pattern of the high bits: ``tail`` is
         ``sep`` and that pattern's high-half text, and ``lows`` is the
         low-half text of every pattern of the low bits.  Every block
         shares one ``lows`` list, copied only for a block that holds a
         dropped column, so callers must not change it.
 
-        The closed form only concatenates, so tokens of any type that
+        The blocks are only concatenated, so tokens of any type that
         ``+`` joins will do: one-literal tuples with ``sep=()`` give the
         column tuples of the clause view, and integers with ``sep=0``
         the oracles' clause masks.
         """
-        if self._signs is None:
-            for j, col in enumerate(zip(*self._rows)):
-                if j not in drop:
-                    yield [sep.join(map(token, col))], sep * 0
-            return
         tokens = [(token(pos), token(neg)) for pos, neg in self._signs]
         h = len(tokens) // 2
 
@@ -179,16 +147,10 @@ class Rectangle:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Rectangle):
             return NotImplemented
-        if self.generators != other.generators:
-            return False
-        # Two closed forms over equal generators have equal rows.
-        if self._signs is not None and other._signs is not None:
-            return True
-        return self.rows == other.rows
+        # The generators fix every cell.
+        return self.generators == other.generators
 
     def __hash__(self) -> int:
-        # Equal rectangles have equal generators, so this agrees with
-        # __eq__ without laying out the rows.
         return hash(self.generators)
 
     def __repr__(self) -> str:

@@ -27,10 +27,10 @@ are the satisfying assignments.  The marks are counts saturated at 2,
 so ``check_minimality`` reads every single-clause removal off the same
 array.
 
-A closed-form rectangle, and a ``ColumnSet`` over one, gives its masks
-without a Clause: every column lists the n generators' atoms in row
-order, so atom i is generator i, and ``Rectangle.column_texts`` sums
-one integer token per cell into each column's packed mask.
+A rectangle's columns, as a ``ColumnSet``, give their masks without a
+Clause: every column lists the n generators' atoms in row order, so
+atom i is generator i, and ``Rectangle.column_texts`` sums one integer
+token per cell into each column's packed mask.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Dict
 
 from .errors import ProductTooLargeError, TooManyAtomsError
 from .logic import Atom, ClauseSet, _set, _Value
-from .rectangle import ColumnSet, Rectangle, remove_clauses
+from .rectangle import ColumnSet, Rectangle
 
 if TYPE_CHECKING:
     from array import array
@@ -50,7 +50,7 @@ if TYPE_CHECKING:
 DEFAULT_MAX_ATOMS = 24
 DEFAULT_MAX_PRODUCT = 10**7
 
-# Closed forms narrower than this take the Clause route, so that a small
+# Rectangles narrower than this take the Clause route, so that a small
 # `generate --verify` still builds `Rectangle.clauses` and calls
 # `is_satisfiable`: bench/test_bench.py::
 # test_tracer_wraps_every_lookup_and_restores_it expects both spans.  It
@@ -111,17 +111,15 @@ def _clause_masks(
     return tuple(index), masks, firsts
 
 
-def _reads_closed_form(rect: Rectangle) -> bool:
-    """Whether the oracles read the rectangle's masks from its closed form."""
-    return rect.closed_form and rect.width >= _CLOSED_FORM_MIN_WIDTH
-
-
 def _closed_columns(clauses) -> ColumnSet | None:
-    """The clause set as a nonempty ColumnSet whose masks are read from
-    its closed form, or None for the Clause route."""
-    if isinstance(clauses, ColumnSet) and len(clauses) and _reads_closed_form(clauses.rect):
-        return clauses
-    return None
+    """The clause set as a ColumnSet whose masks are read from the closed
+    form, or None for the Clause route.
+
+    A view that keeps no column has no atoms, where the closed form
+    would number the generators', so it takes the Clause route too.
+    """
+    wide = isinstance(clauses, ColumnSet) and clauses.rect.width >= _CLOSED_FORM_MIN_WIDTH
+    return clauses if wide and len(clauses) else None
 
 
 def _closed_form_index(rect: Rectangle, max_atoms: int) -> dict[Atom, int]:
@@ -217,8 +215,8 @@ def is_satisfiable(
     bytes plus ``Σ_c 2^(k−|c|)`` marks, where ``|c|`` counts the distinct
     atoms of clause c.  The empty clause set is satisfiable (empty
     witness); a set containing the empty clause never is.  The atom
-    bound is checked before the array is allocated, and for a closed
-    form's columns before any mask is.
+    bound is checked before the array is allocated, and for a
+    rectangle's columns before any mask is.
     """
     columns = _closed_columns(clause_set)
     if columns is not None:
@@ -364,12 +362,17 @@ class MinimalityReport(_Value):
 
 
 def check_minimality(
-    rect: Rectangle, max_atoms: int = DEFAULT_MAX_ATOMS
+    clauses: Rectangle | ClauseSet, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> MinimalityReport:
-    """Full rectangle must be UNSAT, every single-column removal SAT.
+    """The full set must be UNSAT, every single-clause removal SAT.
+
+    ``clauses`` is any clause set; a Rectangle is read as its columns,
+    ``rect.clause_set()``.  The full set and every removal are decided
+    as ``is_satisfiable`` decides them, on the same route and with the
+    same witness.
 
     One cover of the truth table decides them all.  Counts saturate at
-    2, so removing column j leaves the points of its subcube with count
+    2, so removing clause j leaves the points of its subcube with count
     1 uncovered, besides the points no clause covers.  Removal j is SAT
     exactly when one of those exists, and its witness is the lowest of
     them, which is what ``is_satisfiable`` returns on the remaining
@@ -377,12 +380,13 @@ def check_minimality(
     point ``neg``, so its removal needs one count read.
 
     The witness identity needs the remaining clauses to number their
-    atoms as the full set does.  In a closed form every column lists all
-    n atoms in row order, so no removal renumbers anything, and its masks
+    atoms as the full set does.  A clause holding some atom's first
+    appearance (clause 0 of a rectangle) is therefore decided by
+    ``is_satisfiable`` on the other clauses.  A rectangle's columns
+    of 1024 or more each list all n atoms in row order, so their masks
     are streamed from the closed form twice, for the cover and for the
-    removals.  In a grid of explicit rows, a column holding some atom's
-    first appearance (column 0 of a rectangle) is decided by
-    ``is_satisfiable`` on what is left.  Cost: one ``2^k``-byte array,
+    removals, and only removing a view's one column renumbers anything:
+    it leaves the empty set.  Cost: one ``2^k``-byte array,
     ``Σ_c 2^(k−|c|)`` marks, the subcube scans of the removals and 8
     bytes per removal.
 
@@ -394,24 +398,32 @@ def check_minimality(
     # start sooner.
     from array import array
 
-    closed = _reads_closed_form(rect)
-    if closed:
-        index = _closed_form_index(rect, max_atoms)
+    if isinstance(clauses, Rectangle):
+        clauses = clauses.clause_set()
+    columns = _closed_columns(clauses)
+    if columns is not None:
+        index = _closed_form_index(columns.rect, max_atoms)
         atoms = tuple(index)
-        masks, firsts = _closed_form_masks(rect, index), ()
+        masks = _closed_form_masks(columns.rect, index, columns.drop)
+        # Only removing a view's one column renumbers the atoms, and it
+        # leaves the empty set: no clause needs listing.
+        listed = ()
+        firsts = {0} if len(columns) == 1 else ()
     else:
-        atoms, masks, firsts = _clause_masks(rect.clauses, max_atoms)
+        listed = tuple(clauses)
+        atoms, masks, firsts = _clause_masks(listed, max_atoms)
     k = len(atoms)
     full = (1 << k) - 1
     counts = _cover(masks, k)
     zero = counts.find(0)
-    if closed:
-        masks = _closed_form_masks(rect, index)
+    if columns is not None:
+        masks = _closed_form_masks(columns.rect, index, columns.drop)
     witnesses = array("q")
     decided = {}
     for j, (pos, neg) in enumerate(masks):
         if j in firsts:
-            result = decided[j] = is_satisfiable(remove_clauses(rect, (j,)), max_atoms)
+            rest = ClauseSet(listed[:j] + listed[j + 1 :])
+            result = decided[j] = is_satisfiable(rest, max_atoms)
             witnesses.append(0 if result.satisfiable else -1)
             continue
         m = zero
@@ -434,9 +446,9 @@ def entails(
     """Refutation check: premises entail the negation of the hypothesis
     conjunction exactly when premises plus hypothesis are unsatisfiable.
 
-    Premises that are a closed form's columns are covered from their
-    streamed masks, with the hypothesis clauses numbered after the
-    generators' atoms, so the premise clauses are never built.
+    Premises cut from a rectangle of 1024 columns or more are covered
+    from their streamed masks, with the hypothesis clauses numbered
+    after the generators' atoms, so the premise clauses are never built.
     """
     columns = _closed_columns(premises)
     if columns is None:

@@ -7,7 +7,7 @@ clause itself), which flattens to the conjunction of the complements of
 the generation literals.
 
 A theorem's premises are a view of the closed-form rectangle minus the
-hypothesis columns: writers render them through ``ClauseSet.texts``
+hypothesis columns: writers render them through ``ClauseSet.blocks``
 without building a Clause, and the Clause tuple is built only when an
 oracle or a caller iterates them.  Only the hypothesis columns are
 built up front.
@@ -144,10 +144,11 @@ def verify_theorem(theorem: Theorem, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool
     """Machine-check the entailment the theorem claims.
 
     The conclusion is taken at face value: whatever it asserts the
-    negation of is conjoined with the premises and refuted by the
-    falsified-cube cover oracle (``semantics.is_satisfiable``).  A
-    tampered conclusion therefore fails unless it happens to be entailed
-    as well.
+    negation of is conjoined with the premises and refuted by
+    ``semantics.entails``, which covers the truth table with the
+    falsified-cube oracle, reading premises cut from a rectangle of
+    1024 columns or more from its closed form.  A tampered conclusion
+    therefore fails unless it happens to be entailed as well.
     """
     return entails(
         theorem.premises, hypothesis_from_conclusion(theorem.conclusion), max_atoms

@@ -26,7 +26,6 @@ from rectatg import (
     Literal,
     Pred,
     Prop,
-    Rectangle,
     SatResult,
     SizeCapError,
     TooManyAtomsError,
@@ -180,13 +179,13 @@ def check_mutual_equivalence(
     return True
 
 
-def construct_naive(generators, max_level=DEFAULT_MAX_LEVEL) -> Rectangle:
-    """Build the rectangle level by level.
+def construct_naive(generators, max_level=DEFAULT_MAX_LEVEL):
+    """The rectangle's rows, built level by level.
 
     Level 1 is the single row (l1, ~l1).  Each further level lays two
     copies of the previous grid side by side and appends a new bottom
     row: 2**(i-1) copies of the next generator, then as many of its
-    complement.
+    complement.  Rows are tuples, as ``Rectangle.rows`` gives them.
     """
     n = generators.n
     if n > max_level:
@@ -197,7 +196,12 @@ def construct_naive(generators, max_level=DEFAULT_MAX_LEVEL) -> Rectangle:
         rows = [row + row for row in rows]
         half = 1 << i
         rows.append([lits[i]] * half + [negate_literal(lits[i])] * half)
-    return Rectangle(generators, rows)
+    return tuple(map(tuple, rows))
+
+
+def grid_clauses(rows):
+    """The clauses of a grid: column j read top to bottom."""
+    return tuple(map(Clause, zip(*rows)))
 
 
 def first_difference(got: str, want: str):
@@ -210,10 +214,10 @@ def first_difference(got: str, want: str):
     return at, got[at : at + 40], want[at : at + 40]
 
 
-def matrix_reference(rect: Rectangle) -> str:
-    """The matrix text cell by cell from laid-out rows: each cell padded
-    to its column's widest cell, joined by two spaces, right-stripped."""
-    rows = [[str(cell) for cell in row] for row in rect.rows]
+def matrix_reference(rows) -> str:
+    """The matrix text of a grid, cell by cell: each cell padded to its
+    column's widest cell, joined by two spaces, right-stripped."""
+    rows = [[str(cell) for cell in row] for row in rows]
     widths = [max(map(len, column)) for column in zip(*rows)]
     return "\n".join(
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows

@@ -40,6 +40,7 @@ from conftest import (
     check_mutual_equivalence,
     construct_naive,
     evaluates_true,
+    grid_clauses,
     polarity_oracle_positive,
     random_generation_set,
     replace,
@@ -152,9 +153,9 @@ def check_construction_routes():
         generators = random_generation_set(rng, max_n=10)
         direct = construct_naive(generators)
         templated = construct_from_template(generators)
-        assert direct.rows == templated.rows
-        assert direct.clauses == templated.clauses
-        assert direct == templated
+        assert direct == templated.rows
+        assert grid_clauses(direct) == templated.clauses
+        assert templated == construct_from_template(generators)
 
 
 @criterion(4, "every rectangle is a standard contradiction, both oracles", 10.0)

@@ -39,6 +39,7 @@ from conftest import (
     construct_naive,
     dimacs_reference,
     first_difference,
+    grid_clauses,
     matrix_reference,
     record_reference,
     replace,
@@ -404,14 +405,15 @@ def _fo_names(n: int) -> str:
 def _block_references(g, hypothesis):
     """Each format's expected output, rendered clause by clause from the
     level-by-level grid: independent of the writers' blocks."""
-    naive = construct_naive(g)
+    rows = construct_naive(g)
+    clauses = grid_clauses(rows)
     drop = set(hypothesis)
-    premises = ClauseSet(c for j, c in enumerate(naive.clauses) if j not in drop)
+    premises = ClauseSet(c for j, c in enumerate(clauses) if j not in drop)
     t = replace(generate_theorem_with_partition(g, hypothesis), premises=premises)
-    atoms = AtomNumbering.from_rectangle(naive).atoms
+    atoms = [lit.atom for lit in g]
     return {
-        "matrix": matrix_reference(naive) + "\n",
-        "dimacs": dimacs_reference(naive.clauses, atoms),
+        "matrix": matrix_reference(rows) + "\n",
+        "dimacs": dimacs_reference(clauses, atoms),
         "text": theorem_reference(t),
         "tptp": tptp_reference(t),
         "json": record_reference(t),
@@ -539,11 +541,16 @@ def test_other_large_outputs_stream_in_bounded_memory(monkeypatch, command, outp
     assert peak < 3 << 20
 
 
+def _readme_blocks(language: str) -> list[str]:
+    """The fenced blocks of README.md in the given language."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return re.findall(rf"```{language}\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+
+
 def _readme_examples() -> list[tuple[str, str]]:
     """Each ``$ rectatg …`` line of README.md and the output shown under it."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
     examples = []
-    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S):
+    for block in _readme_blocks("sh"):
         for chunk in re.split(r"^(?=\$ )", block, flags=re.M):
             if chunk.startswith("$ rectatg "):
                 command, _, shown = chunk.partition("\n")
@@ -557,6 +564,13 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
     for command, shown in examples:
         assert main(shlex.split(command)[1:]) == 0, command
         assert capsys.readouterr().out.encode() == shown.encode(), command
+
+
+def test_readme_python_blocks_run():
+    blocks = _readme_blocks("python")
+    assert blocks
+    for source in blocks:
+        exec(compile(source, "README.md", "exec"), {})
 
 
 FORMATS = (

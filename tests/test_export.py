@@ -1,5 +1,4 @@
 import json
-import random
 import re
 
 import pytest
@@ -15,7 +14,6 @@ from rectatg import (
     MalformedRecordError,
     Prop,
     RectAtgError,
-    Rectangle,
     SchemaMismatchError,
     UnnumberedAtomError,
     construct_from_template,
@@ -38,7 +36,9 @@ from conftest import (
     clause,
     clause_set,
     construct_naive,
+    dimacs_reference,
     first_difference,
+    grid_clauses,
     lit,
     matrix_reference,
     random_generation_set,
@@ -145,18 +145,8 @@ def test_matrix_spans_several_blocks_of_columns():
     # 2^13 columns span many runs of each row; the first-order cells
     # give the columns two widths, interleaved by the low bits.
     rect = rect_for(", ".join(f"P{i}(f(a{i % 3}, X))" if i % 4 else f"p{i}" for i in range(13)))
-    assert first_difference(render_matrix(rect), matrix_reference(rect)) is None
-
-
-def test_matrix_of_an_irregular_grid():
-    # A hand-made grid: a width that is no multiple of the run length and
-    # many distinct column widths.
-    rng = random.Random(5)
-    g = parse_generation_set("p, q, r")
-    pool = [parse_literal(t) for t in ("p", "~q", "P(a)", "~P(f(g(a, b)))", "x = f(y)", "r")]
-    rows = [[rng.choice(pool) for _ in range(203)] for _ in range(3)]
-    rect = Rectangle(g, rows)
-    assert render_matrix(rect) == matrix_reference(rect)
+    want = matrix_reference(construct_naive(rect.generators))
+    assert first_difference(render_matrix(rect), want) is None
 
 
 def test_tptp_single_generator():
@@ -295,18 +285,17 @@ def test_writers_agree_on_closed_form_explicit_rows_and_clause_objects(
     first_order, rng, data
 ):
     g = random_generation_set(rng, max_n=8, first_order=first_order)
-    closed, explicit = construct_from_template(g), construct_naive(g)
+    closed, rows = construct_from_template(g), construct_naive(g)
     numbering = AtomNumbering.from_rectangle(closed)
-    assert render_matrix(closed) == render_matrix(explicit) == matrix_reference(explicit)
-    plain = ClauseSet(explicit.clauses)
+    assert render_matrix(closed) == matrix_reference(rows)
+    plain = ClauseSet(grid_clauses(rows))
     want = export_dimacs(plain, numbering)
     assert export_dimacs(closed.clause_set(), numbering) == want
-    assert export_dimacs(explicit.clause_set(), numbering) == want
+    assert dimacs_reference(plain, numbering.atoms) == want
 
     hyp = data.draw(st.lists(st.integers(0, closed.width - 1), min_size=1, max_size=8))
     t = generate_theorem_with_partition(g, hyp)
-    on_rows = replace(t, premises=remove_clauses(explicit, hyp))
-    on_clauses = replace(t, premises=ClauseSet(tuple(on_rows.premises)))
+    on_clauses = replace(t, premises=ClauseSet(c for j, c in enumerate(plain) if j not in hyp))
     texts = [str(c) for c in on_clauses.premises]
     want = "".join(f"{x}\n" for x in texts) + f"⊢ {t.conclusion}\n"
     assert render_theorem(t) == want
@@ -316,7 +305,7 @@ def test_writers_agree_on_closed_form_explicit_rows_and_clause_objects(
     assert json.loads(save_record(t))["premises"] == texts
     assert save_record(t) == record_reference(on_clauses)
     for writer in (render_theorem, export_tptp, save_record):
-        assert writer(t) == writer(on_rows) == writer(on_clauses)
+        assert writer(t) == writer(on_clauses)
     want = export_dimacs(on_clauses.premises, numbering)
     assert export_dimacs(t.premises, numbering) == want
     # Rendering the closed form built no Clause and laid out no row.

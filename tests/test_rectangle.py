@@ -9,7 +9,6 @@ from rectatg import (
     ClauseSet,
     IndexOutOfRangeError,
     Marker,
-    Rectangle,
     SizeCapError,
     complementary,
     construct_from_template,
@@ -19,46 +18,52 @@ from rectatg import (
     remove_clauses,
 )
 
-from conftest import construct_naive, lit, random_generation_set, validate_generation_set
-
-
-def both_routes(g):
-    return construct_naive(g), construct_from_template(g)
+from conftest import (
+    construct_naive,
+    grid_clauses,
+    lit,
+    random_generation_set,
+    validate_generation_set,
+)
 
 
 def test_single_literal_rectangle():
-    for rect in both_routes(parse_generation_set("p")):
-        assert rect.rows == ((lit("p"), lit("p", True)),)
-        assert [str(c) for c in rect.clauses] == ["p", "¬p"]
+    g = parse_generation_set("p")
+    rect, rows = construct_from_template(g), construct_naive(g)
+    assert rect.rows == rows == ((lit("p"), lit("p", True)),)
+    for clauses in (rect.clauses, grid_clauses(rows)):
+        assert [str(c) for c in clauses] == ["p", "¬p"]
 
 
 def test_two_literal_rectangle_columns():
     want = [("p", "q"), ("¬p", "q"), ("p", "¬q"), ("¬p", "¬q")]
-    for rect in both_routes(parse_generation_set("p,q")):
-        got = [tuple(str(l) for l in rect.column(j)) for j in range(4)]
-        assert got == want
+    g = parse_generation_set("p,q")
+    rect = construct_from_template(g)
+    for columns in ([rect.column(j) for j in range(4)], list(zip(*construct_naive(g)))):
+        assert [tuple(str(l) for l in column) for column in columns] == want
 
 
 def test_negated_generator_first_cell_keeps_its_polarity():
-    for rect in both_routes(parse_generation_set("~p")):
-        assert rect.rows == ((lit("p", True), lit("p")),)
+    g = parse_generation_set("~p")
+    assert construct_from_template(g).rows == construct_naive(g) == ((lit("p", True), lit("p")),)
 
 
 def test_column_zero_is_the_generation_clause():
     g = parse_generation_set("P1(a), ~P2(f(x)), P3(g(y,a))")
-    for rect in both_routes(g):
-        assert rect.column(0) == tuple(g)
-        assert rect.clauses[0] == Clause(g)
+    rect, rows = construct_from_template(g), construct_naive(g)
+    assert rect.column(0) == tuple(row[0] for row in rows) == tuple(g)
+    assert rect.clauses[0] == grid_clauses(rows)[0] == Clause(g)
 
 
 def test_routes_agree_on_random_sets():
     rng = random.Random(20417)
     for _ in range(30):
         g = random_generation_set(rng, max_n=6)
-        a = construct_naive(g)
-        b = construct_from_template(g)
-        assert a.rows == b.rows
-        assert a == b
+        rows = construct_naive(g)
+        rect = construct_from_template(g)
+        assert rows == rect.rows
+        assert grid_clauses(rows) == rect.clauses
+        assert rect == construct_from_template(g)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -84,7 +89,7 @@ def test_block_rule_matches_doubling_and_closed_form(rng):
             for i, lit in enumerate(g)
         )
     assert rect._rows is None
-    assert rect.rows == construct_naive(g).rows
+    assert rect.rows == construct_naive(g)
     for i, row in enumerate(rect.rows):
         neg = negate_literal(g[i])
         for j, cell in enumerate(row):
@@ -164,23 +169,21 @@ def _drops(data, width):
 @given(st.randoms(use_true_random=False), st.data())
 def test_closed_form_column_texts_match_explicit_rows(first_order, rng, data):
     g = random_generation_set(rng, max_n=8, first_order=first_order)
-    closed, explicit = construct_from_template(g), construct_naive(g)
+    closed, rows = construct_from_template(g), construct_naive(g)
     drop = _drops(data, closed.width)
     for token, sep in ((str, " ∨ "), (repr, ""), (lambda l: str(l.negated), "|")):
-        want = list(explicit.column_texts(token, sep, drop))
+        want = [sep.join(map(token, col)) for j, col in enumerate(zip(*rows)) if j not in drop]
         assert list(closed.column_texts(token, sep, drop)) == want
-        assert len(want) == explicit.width - len(drop)
+        assert len(want) == closed.width - len(drop)
         # The blocks flatten to the same texts; none is empty, and the
-        # closed form's blocks that drop nothing share one low-half list.
-        for rect in (closed, explicit):
-            blocks = list(rect.column_blocks(token, sep, drop))
-            assert [low + tail for lows, tail in blocks for low in lows] == want
-            assert all(lows for lows, _ in blocks)
-        full = [lows for lows, _ in closed.column_blocks(token, sep, drop)
-                if len(lows) == 1 << (closed.n // 2)]
+        # blocks that drop nothing share one low-half list.
+        blocks = list(closed.column_blocks(token, sep, drop))
+        assert [low + tail for lows, tail in blocks for low in lows] == want
+        assert all(lows for lows, _ in blocks)
+        full = [lows for lows, _ in blocks if len(lows) == 1 << (closed.n // 2)]
         assert all(lows is full[0] for lows in full)
     assert closed._rows is None and closed._clauses is None
-    assert closed.rows == explicit.rows
+    assert closed.rows == rows
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,7 +195,7 @@ def test_column_view_matches_the_clause_tuple(rng, data):
     view = remove_clauses(rect, drop)
     assert len(view) == rect.width - len(drop)
     assert view._kept is None and rect._clauses is None
-    want = tuple(c for j, c in enumerate(construct_naive(g).clauses) if j not in drop)
+    want = tuple(c for j, c in enumerate(grid_clauses(construct_naive(g))) if j not in drop)
     assert view.clauses == want
     assert [c.literals for c in view] == [c.literals for c in want]
     # Clauses already built by the rectangle are shared, not rebuilt.
@@ -206,7 +209,7 @@ def test_closed_form_builds_nothing_until_asked():
     rect = construct_from_template(parse_generation_set("p, ~q, R(f(X))"))
     assert rect._rows is None and rect._clauses is None
     assert rect.n == 3 and rect.width == 8
-    assert rect.column(5) == construct_naive(rect.generators).column(5)
+    assert rect.column(5) == tuple(row[5] for row in construct_naive(rect.generators))
     assert rect._rows is None and rect._clauses is None
 
 
@@ -218,15 +221,3 @@ def test_closed_forms_compare_and_hash_without_laying_out_rows():
     other = construct_from_template(parse_generation_set("p00, ~p01"))
     assert a != other and other != a
 
-
-def test_closed_form_equals_its_explicit_row_copy():
-    g = parse_generation_set("p, ~q, R(f(X))")
-    closed = construct_from_template(g)
-    explicit = Rectangle(g, construct_naive(g).rows)
-    assert closed == explicit and explicit == closed
-    assert hash(closed) == hash(explicit)
-    # Explicit rows are still compared: a changed cell makes them differ.
-    rows = [list(row) for row in explicit.rows]
-    rows[0][1] = rows[0][0]
-    assert Rectangle(g, rows) != closed and closed != Rectangle(g, rows)
-    assert closed != Rectangle(parse_generation_set("p, ~q, R(f(Y))"), explicit.rows)

@@ -18,6 +18,7 @@ from rectatg import (
     ProductTooLargeError,
     Prop,
     Rectangle,
+    SatResult,
     Variable,
     TooManyAtomsError,
     check_minimality,
@@ -37,7 +38,9 @@ from rectatg import semantics
 from conftest import (
     clause,
     clause_set,
+    construct_naive,
     evaluates_true,
+    grid_clauses,
     implication_is_tautology,
     lit,
     random_clause_set,
@@ -272,16 +275,24 @@ def test_cover_returns_the_sweep_result_key_order_included(s):
         assert evaluates_true(got.witness, s)
 
 
-def assert_removals_match_sweep(rect):
-    report = check_minimality(rect)
-    assert same_result(report.full, sat_oracle_sweep(rect.clause_set()))
-    assert len(report.removals) == rect.width
+def assert_removals_match_sweep(clauses):
+    """``check_minimality`` of a rectangle or a clause set against the
+    sweep on the full set and on each removal; returns the report."""
+    report = check_minimality(clauses)
+    if isinstance(clauses, Rectangle):
+        clauses = clauses.clause_set()
+    listed = tuple(clauses)
+    assert same_result(report.full, sat_oracle_sweep(clauses))
+    assert same_result(report.full, is_satisfiable(clauses))
+    assert len(report.removals) == len(listed)
+    # The dict oracle costs seconds per removal sweep at 8 atoms.
+    direct = len(collect_atoms(listed)) <= 6
     for j, result in enumerate(report.removals):
-        rest = remove_clauses(rect, (j,))
+        rest = ClauseSet(listed[:j] + listed[j + 1 :])
         assert same_result(result, sat_oracle_sweep(rest)), j
-        # The dict oracle costs seconds per removal sweep at n = 8.
-        if rect.n <= 6:
+        if direct:
             assert result.satisfiable == (sat_oracle_direct(rest) is not None)
+    return report
 
 
 @pytest.mark.parametrize("first_order", (False, True))
@@ -306,7 +317,7 @@ def test_minimality_removals_match_sweep_on_reordered_duplicate_columns(rng, dat
         st.lists(st.integers(0, rect.width - 1), min_size=1, max_size=2 * rect.width)
     )
     rows = [[row[j] for j in cols] for row in rect.rows]
-    assert_removals_match_sweep(Rectangle(g, rows))
+    assert_removals_match_sweep(ClauseSet(map(Clause, zip(*rows))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,12 +326,11 @@ def test_minimality_removals_match_sweep_on_arbitrary_grids(data):
     # Any literal in any cell: columns repeat atoms, miss atoms or hold
     # both polarities, so removals are read off subcubes wider than a point.
     n = data.draw(st.integers(1, 4))
-    g = validate_generation_set([lit(f"g{i}") for i in range(n)])
     atoms = data.draw(st.permutations(ATOMS))[: data.draw(st.integers(1, 4))]
     cell = st.builds(Literal, st.sampled_from(atoms), st.booleans())
     width = data.draw(st.integers(1, 10))
     rows = [data.draw(st.lists(cell, min_size=width, max_size=width)) for _ in range(n)]
-    assert_removals_match_sweep(Rectangle(g, rows))
+    assert_removals_match_sweep(ClauseSet(map(Clause, zip(*rows))))
 
 
 def test_minimality_at_twelve_generators():
@@ -394,13 +404,16 @@ def test_closed_form_masks_equal_clause_route_masks(rng, data):
 @pytest.mark.parametrize("cut", (semantics._CLOSED_FORM_MIN_WIDTH, 0))
 @pytest.mark.parametrize("n", range(1, 11))
 def test_closed_form_and_explicit_rows_give_equal_reports(n, cut):
-    # The explicit copy takes the Clause route with its column-0
-    # fallback; the closed form takes whichever route the cut picks.
-    # Equal reports pin every witness index of both routes.
+    # The doubling construction's columns, as a plain clause set, take
+    # the Clause route with its column-0 fallback; the closed form takes
+    # whichever route the cut picks.  Equal reports pin every witness
+    # index of both routes.
     g = mixed_generation_set(n)
     with closed_form_cut(cut):
-        closed = check_minimality(construct_from_template(g))
-        explicit = check_minimality(Rectangle(g, construct_from_template(g).rows))
+        rect = construct_from_template(g)
+        closed = check_minimality(rect)
+        explicit = check_minimality(ClauseSet(grid_clauses(construct_naive(g))))
+        assert closed == check_minimality(rect.clause_set())
     assert closed == explicit
     assert closed.ok
     assert closed.summary() == f"full: UNSAT; removals: {1 << n}/{1 << n} SAT"
@@ -417,6 +430,42 @@ def test_closed_form_removals_match_sweep_on_rectangles(first_order, rng):
         full = is_satisfiable(rect.clause_set())
         assert same_result(full, sat_oracle_sweep(rect.clause_set()))
     assert not full.satisfiable
+
+
+def column_drops(data, n):
+    """Columns to drop from a rectangle over n generators: random ones,
+    every column, all but one, or a run across the boundary of two of
+    ``column_blocks``' blocks (2^⌊n/2⌋ columns each)."""
+    width, block = 1 << n, 1 << (n // 2)
+    edge = block * data.draw(st.integers(1, width // block - 1))
+    run = range(edge - data.draw(st.integers(1, block)), edge + data.draw(st.integers(1, block)))
+    keep = data.draw(st.integers(0, width - 1))
+    return data.draw(
+        st.frozensets(st.integers(0, width - 1))
+        | st.sampled_from(
+            [frozenset(range(width)), frozenset(range(width)) - {keep}, frozenset(run)]
+        )
+    )
+
+
+@pytest.mark.parametrize("cut", (semantics._CLOSED_FORM_MIN_WIDTH, 0))
+@settings(max_examples=20, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_minimality_of_a_column_view_equals_its_plain_clause_set(cut, rng, data):
+    # With the cut at 0 every nonempty view reads the closed form, and
+    # its report must still be the plain clause set's, down to the
+    # witnesses' key order; a view that keeps no column has no atoms.
+    g = random_generation_set(rng, max_n=8, first_order=data.draw(st.booleans()))
+    rect = construct_from_template(g)
+    view = remove_clauses(rect, column_drops(data, g.n))
+    plain = ClauseSet(tuple(view))
+    with closed_form_cut(cut):
+        report = assert_removals_match_sweep(view)
+        other = check_minimality(plain)
+    assert report == other and same_result(report.full, other.full)
+    assert all(map(same_result, report.removals, other.removals))
+    if not len(view):
+        assert report.full == SatResult(True, {}) and len(report.removals) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -493,7 +542,7 @@ def test_minimality_reports_are_values(n):
     report = check_minimality(rect)
     assert report == check_minimality(rect)
     assert pickle.loads(pickle.dumps(report)) == report
-    assert report.removals == check_minimality(Rectangle(rect.generators, rect.rows)).removals
+    assert report.removals == check_minimality(ClauseSet(rect.clauses)).removals
     with pytest.raises(TypeError):
         hash(report.removals)
 
@@ -501,7 +550,7 @@ def test_minimality_reports_are_values(n):
 def test_removals_differ_where_one_result_does():
     rect = construct_from_template(mixed_generation_set(3))
     removals = check_minimality(rect).removals
-    duplicated = Rectangle(rect.generators, [row + row[:1] for row in rect.rows])
+    duplicated = ClauseSet(rect.clauses + rect.clauses[:1])
     other = check_minimality(duplicated).removals
     assert len(other) == len(removals) + 1
     assert other != removals
