@@ -12,14 +12,19 @@ rebuilds from the bit rule, through its ``compare_lines``,
 and ``generate --verify`` (eight hypothesis columns) run the oracles,
 and their stdout is compared through ``compare_lines`` with
 ``check_summary`` and ``theorem_lines``; n=20 is the CLI's default atom
-cap.  The benchmark's own jobs stop at n=18, and its ``check`` jobs at
-n=9; an odd and an even n cover both ways of splitting the rows into
-the writers' two halves.  Exits 1 if any output differs or any exit
-code is not the expected one.
+cap.  Last, for each n, ``check --record`` reads a seeded record with
+eight hypothesis columns, written from ``inputs.record``, which takes
+the record rebuild and the closed route of ``entails`` with dropped
+columns; its stdout must be the summary and ``theorem: verified``.
+The benchmark's own jobs stop at n=18, and its ``check`` jobs at n=9;
+an odd and an even n cover both ways of splitting the rows into the
+writers' two halves.  Exits 1 if any output differs or any exit code
+is not the expected one.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -50,6 +55,16 @@ def main(argv: list[str]) -> int:
                      size=f"n={n}")
             jobs.generate(inputs.prop_set(jobs.rng, n), "text", as_file=False, columns=8,
                           verify=True)
+        for n in sizes:
+            gens, hyp = inputs.prop_set(jobs.rng, n), inputs._hypothesis(jobs.rng, n, 8)
+            path = Path(work) / f"record-n{n}.json"
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(inputs.record(inputs.Layout(gens), hyp), f, ensure_ascii=False,
+                          indent=2)
+            lines = [inputs.check_summary(n), "theorem: verified"]
+            jobs.add(f"check-record-n{n}", ["check", "--record", str(path)],
+                     lambda p, lines=lines: inputs.compare_lines(p, lines),
+                     size=f"n={n}, 8 hypothesis columns")
         out = Path(work) / "stdout"
         for job in jobs.workload.jobs:
             with open(out, "wb") as f:

@@ -31,7 +31,7 @@ from .export import (
 )
 from .parser import parse_generation_set
 from .rectangle import construct_from_template
-from .semantics import check_minimality
+from .semantics import _CLOSED_FORM_MIN_WIDTH, check_minimality
 from .template import DEFAULT_MAX_LEVEL
 from .theoremgen import generate_theorem_with_partition, verify_theorem
 
@@ -48,10 +48,6 @@ EXIT_CHECK = 4
 # n=21 to be refused under this default, so raising it toward the
 # library's 24 goes with a change to the benchmark.
 DEFAULT_CLI_MAX_ATOMS = 20
-
-# Outputs of fewer clauses than this are rendered whole by the str
-# writers (see _emit); larger ones are streamed.
-WRITE_BATCH = 1024
 
 
 def _indices(text: str) -> tuple[int, ...]:
@@ -202,12 +198,13 @@ def _emit(clauses: int, whole: Callable[..., str], lines: Callable[..., Iterator
           *args) -> None:
     """Write one output of the given number of clauses.
 
-    An output of fewer than WRITE_BATCH clauses is small, so its ``str``
-    writer renders it whole, the route the library's callers and the
-    benchmark's per-layer spans see; a larger one is streamed from the
-    writer's line generator.  Both join the same pieces.
+    An output of fewer than ``_CLOSED_FORM_MIN_WIDTH`` clauses (see
+    ``semantics``) is small, so its ``str`` writer renders it whole, the
+    route the library's callers and the benchmark's per-layer spans see;
+    a larger one is streamed from the writer's line generator.  Both
+    join the same pieces.
     """
-    _write((whole(*args),) if clauses < WRITE_BATCH else lines(*args))
+    _write((whole(*args),) if clauses < _CLOSED_FORM_MIN_WIDTH else lines(*args))
 
 
 def _discard(out) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from itertools import repeat
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -429,6 +430,21 @@ def read_record(text: str) -> dict:
     return data
 
 
+def _texts_match(stored, premises: ClauseSet) -> bool:
+    """Whether ``stored`` is the list of the premises' texts, compared a
+    block at a time against slices of it, so the texts are never all
+    listed at once."""
+    if not isinstance(stored, list) or len(stored) != len(premises):
+        return False
+    start = 0
+    for texts, tail in _clause_blocks(premises):
+        stop = start + len(texts)
+        if stored[start:stop] != list(map(add, texts, repeat(tail))):
+            return False
+        start = stop
+    return True
+
+
 def rebuild_record(data: dict, max_level: int = DEFAULT_MAX_LEVEL) -> Theorem:
     """Revalidate a record from ``read_record`` by rebuilding it from provenance.
 
@@ -447,10 +463,8 @@ def rebuild_record(data: dict, max_level: int = DEFAULT_MAX_LEVEL) -> Theorem:
         raise
     except (RectAtgError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise MalformedRecordError(f"provenance does not rebuild: {exc}") from exc
-    premises = [
-        text + tail for texts, tail in _clause_blocks(theorem.premises) for text in texts
-    ]
-    if data["premises"] != premises or data["conclusion"] != str(theorem.conclusion):
+    matched = _texts_match(data["premises"], theorem.premises)
+    if not matched or data["conclusion"] != str(theorem.conclusion):
         raise MalformedRecordError(
             "stored premises or conclusion disagree with reconstruction from provenance"
         )

@@ -12,9 +12,9 @@ built on first use.  Writers never need them:
 ``Rectangle.column_blocks`` renders the columns from one token per row
 and polarity as one block per pattern of the high half of the rows, a
 shared list of low-half texts and the block's high-half text, so a
-writer joins a block at a time; ``column_texts`` flattens the same
-blocks column by column, and ``remove_clauses`` returns a clause set
-whose ``blocks`` are the kept columns' blocks.  The level-by-level
+writer joins a block at a time; the clause view joins the same blocks
+of one-cell tuples, and ``remove_clauses`` returns a clause set whose
+``blocks`` are the kept columns' blocks.  The level-by-level
 doubling construction lives in the tests as an independent
 cross-check, and the routes must agree cell for cell.
 """
@@ -62,7 +62,8 @@ class Rectangle:
     @property
     def clauses(self) -> tuple[Clause, ...]:
         if self._clauses is None:
-            self._clauses = tuple(map(Clause, self.column_texts(_cell, ())))
+            blocks = self.column_blocks(_cell, ())
+            self._clauses = tuple(Clause(low + tail) for lows, tail in blocks for low in lows)
         return self._clauses
 
     def column(self, j: int) -> tuple[Literal, ...]:
@@ -96,8 +97,7 @@ class Rectangle:
 
         The blocks are only concatenated, so tokens of any type that
         ``+`` joins will do: one-literal tuples with ``sep=()`` give the
-        column tuples of the clause view, and integers with ``sep=0``
-        the oracles' clause masks.
+        column tuples of the clause view.
         """
         tokens = [(token(pos), token(neg)) for pos, neg in self._signs]
         h = len(tokens) // 2
@@ -127,19 +127,6 @@ class Rectangle:
                 yield lows, tail
             elif len(gone) < len(lows):
                 yield [low for m, low in enumerate(lows) if m not in gone], tail
-
-    def column_texts(
-        self,
-        token: Callable[[Literal], str],
-        sep: str,
-        drop: Collection[int] = (),
-    ) -> Iterator[str]:
-        """Each column's cells rendered by ``token`` and joined by ``sep``,
-        in column order, skipping the column indices in ``drop``: the
-        blocks of ``column_blocks``, one column at a time."""
-        for lows, tail in self.column_blocks(token, sep, drop):
-            for low in lows:
-                yield low + tail
 
     def clause_set(self) -> ClauseSet:
         return ColumnSet(self, frozenset())

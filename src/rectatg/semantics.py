@@ -29,8 +29,8 @@ array.
 
 A rectangle's columns, as a ``ColumnSet``, give their masks without a
 Clause: every column lists the n generators' atoms in row order, so
-atom i is generator i, and ``Rectangle.column_texts`` sums one integer
-token per cell into each column's packed mask.
+atom i is generator i, and the cell rule gives column j's negated atoms
+as ``j ^ flip``, where ``flip`` holds the negated generators.
 """
 
 from __future__ import annotations
@@ -50,13 +50,11 @@ if TYPE_CHECKING:
 DEFAULT_MAX_ATOMS = 24
 DEFAULT_MAX_PRODUCT = 10**7
 
-# Rectangles narrower than this take the Clause route, so that a small
-# `generate --verify` still builds `Rectangle.clauses` and calls
-# `is_satisfiable`: bench/test_bench.py::
-# test_tracer_wraps_every_lookup_and_restores_it expects both spans.  It
-# equals cli.WRITE_BATCH, which now only sets where cli._emit switches
-# from the whole `str` writers to streamed blocks, for the same reason;
-# both cuts go once the library emits its own spans.
+# Below this width `entails` takes the Clause route and cli._emit renders
+# whole through the `str` writers, so that bench/test_bench.py::
+# test_tracer_wraps_every_lookup_and_restores_it still sees the
+# `Rectangle.clauses`, `is_satisfiable` and `render_theorem` spans of a
+# small `generate --verify`.
 _CLOSED_FORM_MIN_WIDTH = 1024
 
 Assignment = Dict[Atom, bool]
@@ -118,8 +116,7 @@ def _closed_columns(clauses) -> ColumnSet | None:
     A view that keeps no column has no atoms, where the closed form
     would number the generators', so it takes the Clause route too.
     """
-    wide = isinstance(clauses, ColumnSet) and clauses.rect.width >= _CLOSED_FORM_MIN_WIDTH
-    return clauses if wide and len(clauses) else None
+    return clauses if isinstance(clauses, ColumnSet) and len(clauses) else None
 
 
 def _closed_form_index(rect: Rectangle, max_atoms: int) -> dict[Atom, int]:
@@ -135,19 +132,13 @@ def _closed_form_masks(
 ) -> Iterator[tuple[int, int]]:
     """``(pos, neg)`` of each closed-form column not in ``drop``, streamed.
 
-    ``column_texts`` joins integer tokens with ``sep = 0``: a positive
-    cell of atom i is ``1 << i`` and a negated one ``(1 << i) << n``, and
-    ``+`` acts as ``|`` on these disjoint bits, so column j sums to
-    ``pos | neg << n``.
+    By the cell rule, column j negates the atoms in ``flip ^ j``, where
+    ``flip`` holds the negated generators, and holds the other atoms
+    positive: ``pos0 ^ j``, where ``pos0`` holds the positive generators.
     """
-    n = rect.n
-    low = (1 << n) - 1
-
-    def token(lit):
-        bit = 1 << index[lit.atom]
-        return bit << n if lit.negated else bit
-
-    return ((m & low, m >> n) for m in rect.column_texts(token, 0, drop))
+    flip = sum(1 << index[lit.atom] for lit in rect.generators if lit.negated)
+    pos0 = ((1 << rect.n) - 1) ^ flip
+    return ((pos0 ^ j, flip ^ j) for j in range(rect.width) if j not in drop)
 
 
 def _subcube(pos: int, neg: int, k: int):
@@ -216,7 +207,9 @@ def is_satisfiable(
     atoms of clause c.  The empty clause set is satisfiable (empty
     witness); a set containing the empty clause never is.  The atom
     bound is checked before the array is allocated, and for a
-    rectangle's columns before any mask is.
+    rectangle's columns before any mask is.  A nonempty view of a
+    rectangle's columns streams its masks from the cell rule and builds
+    no Clause.
     """
     columns = _closed_columns(clause_set)
     if columns is not None:
@@ -381,14 +374,14 @@ def check_minimality(
 
     The witness identity needs the remaining clauses to number their
     atoms as the full set does.  A clause holding some atom's first
-    appearance (clause 0 of a rectangle) is therefore decided by
-    ``is_satisfiable`` on the other clauses.  A rectangle's columns
-    of 1024 or more each list all n atoms in row order, so their masks
-    are streamed from the closed form twice, for the cover and for the
-    removals, and only removing a view's one column renumbers anything:
-    it leaves the empty set.  Cost: one ``2^k``-byte array,
-    ``Σ_c 2^(k−|c|)`` marks, the subcube scans of the removals and 8
-    bytes per removal.
+    appearance (clause 0 of a plain clause set) is therefore decided by
+    ``is_satisfiable`` on the other clauses.  A nonempty view of a
+    rectangle's columns lists all n atoms in row order in every column,
+    so its masks are streamed from the cell rule twice, for the cover
+    and for the removals, and only removing a view's one column
+    renumbers anything: it leaves the empty set.  Cost: one
+    ``2^k``-byte array, ``Σ_c 2^(k−|c|)`` marks, the subcube scans of
+    the removals and 8 bytes per removal.
 
     Each removal result carries its witness so callers can re-check it
     against the remaining clauses.  The report keeps one witness index
@@ -446,12 +439,14 @@ def entails(
     """Refutation check: premises entail the negation of the hypothesis
     conjunction exactly when premises plus hypothesis are unsatisfiable.
 
-    Premises cut from a rectangle of 1024 columns or more are covered
-    from their streamed masks, with the hypothesis clauses numbered
-    after the generators' atoms, so the premise clauses are never built.
+    Premises cut from a rectangle of ``_CLOSED_FORM_MIN_WIDTH`` columns
+    or more are covered from their streamed masks, with the hypothesis
+    clauses numbered after the generators' atoms, so the premise clauses
+    are never built.  Narrower premises take the Clause route through
+    ``is_satisfiable``.
     """
     columns = _closed_columns(premises)
-    if columns is None:
+    if columns is None or columns.rect.width < _CLOSED_FORM_MIN_WIDTH:
         combined = ClauseSet(tuple(premises) + tuple(hypothesis))
         return not is_satisfiable(combined, max_atoms).satisfiable
     index = _closed_form_index(columns.rect, max_atoms)

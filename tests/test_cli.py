@@ -148,6 +148,43 @@ def test_tampered_record_is_an_input_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def _record_with_premises(capsys, tmp_path, change):
+    # n=11: 2047 premises in blocks of 32, so a change past the first
+    # block is compared block by block.
+    literals = ", ".join(f"p{i}" for i in range(11))
+    code, out, _ = run(capsys, "generate", "-l", literals, "-o", "json")
+    assert code == 0
+    data = json.loads(out)
+    data["premises"] = change(data["premises"])
+    record = tmp_path / "bad.json"
+    record.write_text(json.dumps(data), encoding="utf-8")
+    return run(capsys, "check", "--record", str(record))
+
+
+@pytest.mark.parametrize(
+    "change",
+    (lambda p: "\n".join(p), lambda p: dict(enumerate(p)), lambda p: None, lambda p: len(p)),
+    ids=("string", "object", "null", "number"),
+)
+def test_record_whose_premises_are_not_a_list_is_an_input_error(capsys, tmp_path, change):
+    code, out, err = _record_with_premises(capsys, tmp_path, change)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "disagree" in err
+
+
+@pytest.mark.parametrize(
+    "change",
+    (lambda p: p[:-1], lambda p: p + p[-1:], lambda p: p[1:], lambda p: p[:100] + p[101:] + ["x"],
+     lambda p: p[:-1] + ["x"], lambda p: p[:31] + [p[32], p[31]] + p[33:]),
+    ids=("last-missing", "last-repeated", "first-missing", "shifted", "last-changed",
+         "swapped-across-blocks"),
+)
+def test_record_with_the_wrong_premises_is_an_input_error(capsys, tmp_path, change):
+    code, out, err = _record_with_premises(capsys, tmp_path, change)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "disagree" in err
+
+
 def test_duplicate_generator_is_an_input_error(capsys):
     code, _, err = run(capsys, "generate", "-l", "p, ~p")
     assert code == 2
@@ -468,7 +505,7 @@ def test_streamed_record_escapes_names_across_blocks(capsys, n):
     # Drops straddling the blocks of 32 (n=11) or 64 (n=12) columns.
     hypothesis = (31, 32, 63, 64)
     t = generate_theorem_with_partition(g, hypothesis)
-    assert len(t.premises) >= cli.WRITE_BATCH
+    assert len(t.premises) >= cli._CLOSED_FORM_MIN_WIDTH
     # The route `generate -o json` takes for an output this large.
     cli._emit(len(t.premises), save_record, export._record_lines, t)
     out = capsys.readouterr().out
@@ -605,7 +642,7 @@ WRITERS = ("render_matrix", "export_dimacs", "render_theorem", "export_tptp", "s
 
 @pytest.mark.parametrize("n, whole", ((3, True), (11, False)))
 def test_outputs_under_one_batch_go_through_the_string_writers(capsys, monkeypatch, n, whole):
-    assert 1 << 3 < cli.WRITE_BATCH < (1 << 11) - 1
+    assert 1 << 3 < cli._CLOSED_FORM_MIN_WIDTH < (1 << 11) - 1
     calls = []
 
     def counted(name, writer):

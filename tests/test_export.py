@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -271,6 +272,23 @@ def test_record_with_bad_provenance_rejected():
     data["removed_indices"] = []
     with pytest.raises(MalformedRecordError):
         load_record(json.dumps(data))
+
+
+def test_record_rebuild_never_lists_every_premise():
+    # Listing the 16381 premise texts at n=14 peaks near 4 MiB; a block
+    # holds 128 of them.  The hypothesis straddles two blocks.
+    g = parse_generation_set(", ".join(f"p{i}" for i in range(14)))
+    t = generate_theorem_with_partition(g, (0, 127, 128))
+    data = export.read_record(save_record(t))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rebuilt = export.rebuild_record(data)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024, peak
+    assert rebuilt.provenance == t.provenance
 
 
 def _tptp_clause_reference(c):

@@ -364,15 +364,18 @@ def test_minimality_report_keeps_one_index_per_removal():
 
 
 def closed_form_cut(width):
-    """Closed forms at least ``width`` columns wide read their masks from
-    the closed form; 0 sends every closed form that way."""
+    """``entails`` reads premises cut from closed forms at least ``width``
+    columns wide from the closed form; 0 sends every nonempty premise
+    view that way.  The other oracles read every nonempty view so."""
     return mock.patch.object(semantics, "_CLOSED_FORM_MIN_WIDTH", width)
 
 
-def mixed_generation_set(n):
-    """n generators, every other one negated, every third one first-order."""
+def mixed_generation_set(n, negate_all=False):
+    """n generators, every other one negated (or every one), every third
+    one first-order."""
     return validate_generation_set(
-        Literal(Pred(f"P{i}", (Constant("a"),)) if i % 3 == 2 else Prop(f"q{i}"), i % 2 == 1)
+        Literal(Pred(f"P{i}", (Constant("a"),)) if i % 3 == 2 else Prop(f"q{i}"),
+                negate_all or i % 2 == 1)
         for i in range(n)
     )
 
@@ -401,19 +404,97 @@ def test_closed_form_masks_equal_clause_route_masks(rng, data):
         assert tuple(index) == atoms == collect_atoms(columns)
 
 
+def fixed_drops(n, rng):
+    """No column, a random set, every column but one, and a run across
+    the middle boundary of two of ``column_blocks``' blocks."""
+    width, block = 1 << n, 1 << (n // 2)
+    edge = block * max(1, width // block // 2)
+    return (
+        frozenset(),
+        frozenset(rng.sample(range(width), rng.randint(1, width))),
+        frozenset(range(width)) - {rng.randrange(width)},
+        frozenset(range(max(0, edge - 2), min(width, edge + 2))),
+    )
+
+
+@pytest.mark.parametrize("negate_all", (False, True))
+@pytest.mark.parametrize("n", range(1, 11))
+def test_closed_form_masks_equal_masks_of_the_doubling_columns(n, negate_all):
+    # The cell rule's masks against the Clause route's, read off the
+    # doubling construction's columns with the same columns dropped.
+    g = mixed_generation_set(n, negate_all)
+    rect = construct_from_template(g)
+    columns = grid_clauses(construct_naive(g))
+    index = semantics._closed_form_index(rect, n)
+    for drop in fixed_drops(n, random.Random(n)):
+        got = list(semantics._closed_form_masks(rect, index, drop))
+        kept = [c for j, c in enumerate(columns) if j not in drop]
+        atoms, want, _ = semantics._clause_masks(kept, n)
+        assert got == want, sorted(drop)
+        assert len(got) == rect.width - len(drop)
+        if kept:
+            assert atoms == tuple(index)
+    assert rect._clauses is None
+
+
+@pytest.mark.parametrize("first_order", (False, True))
+@pytest.mark.parametrize("n", range(1, 10))
+def test_oracles_read_every_nonempty_view_from_the_cell_rule(n, first_order):
+    # is_satisfiable and check_minimality have one route for a view of
+    # a rectangle's columns, at every width: none builds a Clause.
+    rng = random.Random(n)
+    g = mixed_generation_set(n) if first_order else parse_generation_set(
+        ", ".join(f"p{i}" for i in range(n)))
+    rect = construct_from_template(g)
+    assert check_minimality(rect).ok
+    for drop in fixed_drops(n, rng):
+        view = rect.clause_set() if not drop else remove_clauses(rect, drop)
+        report = check_minimality(view)
+        assert report.full == is_satisfiable(view)
+        # A few removals, each decided on its own view.
+        kept = [j for j in range(rect.width) if j not in drop]
+        for k in {0, len(kept) // 2, len(kept) - 1} if kept else ():
+            rest = remove_clauses(rect, drop | {kept[k]})
+            assert report.removals[k] == is_satisfiable(rest)
+        if kept:
+            assert view._kept is None
+    assert rect._clauses is None
+
+
+def test_entails_on_premises_under_the_cut_builds_the_clause_view():
+    # The one fork left: bench/test_bench.py::
+    # test_tracer_wraps_every_lookup_and_restores_it expects a small
+    # `generate --verify` to build `Rectangle.clauses` and call
+    # `is_satisfiable`, so premises narrower than the cut take that route.
+    g = parse_generation_set("p, q, r")
+    theorem = generate_theorem(g)
+    assert theorem.premises.rect.width < semantics._CLOSED_FORM_MIN_WIDTH
+    with mock.patch.object(semantics, "is_satisfiable", wraps=semantics.is_satisfiable) as spy:
+        assert verify_theorem(theorem)
+    assert spy.call_count == 1
+    assert theorem.premises.rect._clauses is not None
+    with closed_form_cut(0), mock.patch.object(semantics, "is_satisfiable") as spy:
+        fresh = generate_theorem(g)
+        assert verify_theorem(fresh)
+    spy.assert_not_called()
+    assert fresh.premises.rect._clauses is None
+
+
 @pytest.mark.parametrize("cut", (semantics._CLOSED_FORM_MIN_WIDTH, 0))
 @pytest.mark.parametrize("n", range(1, 11))
 def test_closed_form_and_explicit_rows_give_equal_reports(n, cut):
     # The doubling construction's columns, as a plain clause set, take
-    # the Clause route with its column-0 fallback; the closed form takes
-    # whichever route the cut picks.  Equal reports pin every witness
-    # index of both routes.
+    # the Clause route with its column-0 fallback; the closed form reads
+    # the cell rule.  Equal reports pin every witness index of both
+    # routes.  The cut picks only the route of entails, which must
+    # verify the canonical theorem on either.
     g = mixed_generation_set(n)
     with closed_form_cut(cut):
         rect = construct_from_template(g)
         closed = check_minimality(rect)
         explicit = check_minimality(ClauseSet(grid_clauses(construct_naive(g))))
         assert closed == check_minimality(rect.clause_set())
+        assert verify_theorem(generate_theorem(g))
     assert closed == explicit
     assert closed.ok
     assert closed.summary() == f"full: UNSAT; removals: {1 << n}/{1 << n} SAT"
@@ -424,11 +505,10 @@ def test_closed_form_and_explicit_rows_give_equal_reports(n, cut):
 @given(st.randoms(use_true_random=False))
 def test_closed_form_removals_match_sweep_on_rectangles(first_order, rng):
     g = random_generation_set(rng, max_n=8, first_order=first_order)
-    with closed_form_cut(0):
-        rect = construct_from_template(g)
-        assert_removals_match_sweep(rect)
-        full = is_satisfiable(rect.clause_set())
-        assert same_result(full, sat_oracle_sweep(rect.clause_set()))
+    rect = construct_from_template(g)
+    assert_removals_match_sweep(rect)
+    full = is_satisfiable(rect.clause_set())
+    assert same_result(full, sat_oracle_sweep(rect.clause_set()))
     assert not full.satisfiable
 
 
@@ -452,16 +532,22 @@ def column_drops(data, n):
 @settings(max_examples=20, deadline=None)
 @given(st.randoms(use_true_random=False), st.data())
 def test_minimality_of_a_column_view_equals_its_plain_clause_set(cut, rng, data):
-    # With the cut at 0 every nonempty view reads the closed form, and
-    # its report must still be the plain clause set's, down to the
-    # witnesses' key order; a view that keeps no column has no atoms.
+    # Every nonempty view reads the closed form, and its report must
+    # still be the plain clause set's, down to the witnesses' key order;
+    # a view that keeps no column has no atoms.  The cut picks the route
+    # of entails, which must agree with the plain set's on the dropped
+    # columns and on all but the first of them.
     g = random_generation_set(rng, max_n=8, first_order=data.draw(st.booleans()))
     rect = construct_from_template(g)
-    view = remove_clauses(rect, column_drops(data, g.n))
+    drop = column_drops(data, g.n)
+    view = remove_clauses(rect, drop)
     plain = ClauseSet(tuple(view))
+    dropped = [Clause(rect.column(j)) for j in sorted(drop)]
     with closed_form_cut(cut):
         report = assert_removals_match_sweep(view)
         other = check_minimality(plain)
+        for hypothesis in (ClauseSet(dropped), ClauseSet(dropped[1:])):
+            assert entails(view, hypothesis) == entails(plain, hypothesis)
     assert report == other and same_result(report.full, other.full)
     assert all(map(same_result, report.removals, other.removals))
     if not len(view):
