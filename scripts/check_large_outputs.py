@@ -16,6 +16,11 @@ cap.  Last, for each n, ``check --record`` reads a seeded record with
 eight hypothesis columns, written from ``inputs.record``, which takes
 the record rebuild and the closed route of ``entails`` with dropped
 columns; its stdout must be the summary and ``theorem: verified``.
+
+Each child's stdout is a pipe that this script drains with 64 KiB
+``os.read`` calls into a file, as the benchmark's spawner and readers
+such as ``head`` take it, so the bytes are checked as those readers see
+them.
 The benchmark's own jobs stop at n=18, and its ``check`` jobs at n=9;
 an odd and an even n cover both ways of splitting the rows into the
 writers' two halves.  Exits 1 if any output differs or any exit code
@@ -35,6 +40,20 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import inputs  # noqa: E402
+
+READ_SIZE = 1 << 16
+
+
+def run(argv: list[str], env: dict[str, str], out: Path) -> int:
+    """Run ``rectatg`` with these arguments, copy its stdout to ``out``
+    through a pipe, and return the exit code."""
+    with open(out, "wb") as f, subprocess.Popen(
+        [sys.executable, "-m", "rectatg", *argv], stdout=subprocess.PIPE, env=env
+    ) as proc:
+        fd = proc.stdout.fileno()
+        while chunk := os.read(fd, READ_SIZE):
+            f.write(chunk)
+    return proc.returncode
 
 
 def main(argv: list[str]) -> int:
@@ -67,9 +86,7 @@ def main(argv: list[str]) -> int:
                      size=f"n={n}, 8 hypothesis columns")
         out = Path(work) / "stdout"
         for job in jobs.workload.jobs:
-            with open(out, "wb") as f:
-                argv = [sys.executable, "-m", "rectatg", *job.argv]
-                code = subprocess.run(argv, stdout=f, env=env).returncode
+            code = run(job.argv, env, out)
             error = f"exit code {code}" if code != job.code else job.check(out)
             print(f"{job.name:<28} {job.size:<28} {error or 'ok'}", flush=True)
             failed += error is not None

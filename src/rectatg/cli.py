@@ -8,6 +8,7 @@ the default materialization cap; an explicit --max-n beats it.
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 from pathlib import Path
@@ -42,9 +43,10 @@ EXIT_CHECK = 4
 
 # The oracles need 2^k bytes for k atoms and stream the rectangle's
 # clause masks from its closed form; check also keeps an 8-byte witness
-# index per removal.  At n=20 (CPython 3.11, 2 vCPUs) check takes 1.4 s
-# and 24 MiB peak RSS, and generate --verify 1.8 s and 16 MiB, most of
-# it writing 185 MB of text.  The benchmark's decide workload expects
+# index per removal.  At n=20 (CPython 3.11, 2 vCPUs, stdout to
+# /dev/null) check takes 0.8 s and 24 MiB peak RSS, and generate
+# --verify 0.45 s and 15 MiB; generate alone, which writes the same
+# 185 MB of text, takes 0.19 s.  The benchmark's decide workload expects
 # n=21 to be refused under this default, so raising it toward the
 # library's 24 goes with a change to the benchmark.
 DEFAULT_CLI_MAX_ATOMS = 20
@@ -174,37 +176,100 @@ def _check_atom_bound(n: int, max_atoms: int) -> None:
         raise TooManyAtomsError(n, max_atoms)
 
 
-def _write(pieces: Iterable[str]) -> None:
-    """Write each piece to standard output as it comes.
+# The capacity of a Linux pipe, and the size a reader such as the
+# benchmark or ``head`` asks for in one read.
+_CHUNK = 1 << 16
+
+
+def _write(pieces: Iterable[bytes]) -> None:
+    """Write UTF-8 pieces to standard output as they come.
 
     A writer's piece is one block of about 2^(n/2) lines (for the
     matrix, one row's segment of 2^(n/2) cells), so an output of n·2^n
-    cells takes O(n·2^(n/2)) writes at most and holds one piece.
-    ``sys.stdout`` is looked up here and used only through ``write`` and
-    ``flush``, so any object with those two methods can stand in for it.
+    cells holds one piece at a time.
+
+    When ``sys.stdout`` encodes to UTF-8 and has a binary ``buffer``,
+    the text layer is flushed and the bytes go straight to the buffer,
+    so the output is never decoded or encoded again.  They go in whole
+    multiples of 64 KiB, and one final partial chunk: each piece's
+    chunk-aligned part is written from a ``memoryview`` and only the
+    ragged rest is carried to the next piece.  A pipe then always
+    fills, and a reader's 64 KiB reads come back full; writes of any
+    size leave it many reads that come back a little short, and on
+    some readers each short read costs heap that is never given back.
+
+    Any other stdout, one with another encoding or with only ``write``
+    and ``flush``, gets each whole piece decoded and passed to
+    ``write``: a piece is whole text, where a 64 KiB cut can fall inside
+    a character.  So any object with those two methods can stand in for
+    stdout, and an encoding that cannot hold the text fails as it
+    would for the ``str``.
+
     A reader that stops early (``| head``) is not an error: rendering
     stops at the first failed write and the command still exits 0.
     """
     out = sys.stdout
     try:
-        for piece in pieces:
-            out.write(piece)
+        binary = _utf8_buffer(out)
+        if binary is None:
+            for piece in pieces:
+                out.write(piece.decode())
+        else:
+            out.flush()
+            _write_chunks(binary, pieces)
         out.flush()
     except BrokenPipeError:
         _discard(out)
 
 
-def _emit(clauses: int, whole: Callable[..., str], lines: Callable[..., Iterator[str]],
+def _write_chunks(binary, pieces: Iterable[bytes]) -> None:
+    # One 64 KiB carry buffer: a piece first tops it up, and once it is
+    # full it goes out whole; the piece's chunk-aligned rest is written
+    # straight from the piece, and its ragged end is carried.
+    carry = memoryview(bytearray(_CHUNK))
+    filled = 0
+    for piece in pieces:
+        view = memoryview(piece)
+        if filled:
+            top = view[: _CHUNK - filled]
+            carry[filled : filled + len(top)] = top
+            filled += len(top)
+            if filled < _CHUNK:
+                continue
+            binary.write(carry)
+            view = view[len(top) :]
+        whole = len(view) - len(view) % _CHUNK
+        if whole:
+            binary.write(view[:whole])
+        filled = len(view) - whole
+        carry[:filled] = view[whole:]
+    if filled:
+        binary.write(carry[:filled])
+
+
+def _utf8_buffer(out):
+    """``out``'s binary buffer when it encodes to UTF-8, else None."""
+    buffer, encoding = getattr(out, "buffer", None), getattr(out, "encoding", None)
+    if buffer is None or not isinstance(encoding, str):
+        return None
+    try:
+        utf8 = codecs.lookup(encoding).name == "utf-8"
+    except LookupError:
+        return None
+    return buffer if utf8 else None
+
+
+def _emit(clauses: int, whole: Callable[..., str], lines: Callable[..., Iterator[bytes]],
           *args) -> None:
     """Write one output of the given number of clauses.
 
     An output of fewer than ``_CLOSED_FORM_MIN_WIDTH`` clauses (see
     ``semantics``) is small, so its ``str`` writer renders it whole, the
-    route the library's callers and the benchmark's per-layer spans see;
-    a larger one is streamed from the writer's line generator.  Both
-    join the same pieces.
+    route the library's callers and the benchmark's per-layer spans see,
+    and it is encoded once; a larger one is streamed from the writer's
+    line generator.  Both join the same pieces.
     """
-    _write((whole(*args),) if clauses < _CLOSED_FORM_MIN_WIDTH else lines(*args))
+    _write((whole(*args).encode(),) if clauses < _CLOSED_FORM_MIN_WIDTH else lines(*args))
 
 
 def _discard(out) -> None:
@@ -264,11 +329,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         _check_atom_bound(generators.n, args.max_atoms)
     rect = construct_from_template(generators, args.max_n)
     report = check_minimality(rect, args.max_atoms)
-    _write((report.summary(), "\n"))
+    _write((f"{report.summary()}\n".encode(),))
     ok = report.ok
     if theorem is not None:
         verified = verify_theorem(theorem, args.max_atoms)
-        _write((f"theorem: {'verified' if verified else 'not verified'}\n",))
+        _write((f"theorem: {'verified' if verified else 'not verified'}\n".encode(),))
         ok = ok and verified
     return EXIT_OK if ok else EXIT_CHECK
 

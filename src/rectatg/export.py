@@ -9,19 +9,23 @@ reads a rectangle's cells through ``Rectangle.column_blocks``.  For a
 rectangle and the premises cut from it, these render one token per row
 and polarity and yield one block per pattern of the high half of the
 rows: the shared list of low-half texts and the block's high-half text.
-A writer turns each block into one output piece with a single
-``str.join``, so emitting builds no Clause object, calls ``str`` or the
-token lookup 2n times, and takes O(2^(n/2)) Python steps, not one per
-line or cell.  Plain clause sets come one clause at a time.
+A writer turns each block into one output piece with a single join, so
+emitting builds no Clause object, calls ``str`` or the token lookup 2n
+times, and takes O(2^(n/2)) Python steps, not one per line or cell.
+Plain clause sets come one clause at a time.
 
 Each format is a private generator of output pieces (``_matrix_lines``,
 ``_dimacs_lines``, ``_theorem_lines``, ``_tptp_lines``,
-``_record_lines``), and the public ``str`` writers (``render_matrix``,
-``export_dimacs``, ``render_theorem``, ``export_tptp``,
-``save_record``) join the same generator.  A caller that writes the
-pieces as they come, as the CLI does for large outputs, holds one
-block and the half-tables, about 2^(n/2) texts, instead of the
-n·2^n-cell output.
+``_record_lines``).  The pieces are UTF-8 ``bytes``: each token is
+encoded once, when it is rendered for its row and polarity, so the
+n·2^n-cell output is never encoded, or held, as ``str``.  ¬, ∨ and ⊢
+would make every ``str`` piece a two-byte-per-character string, which
+costs more to encode than the writers take to build it.  The public
+``str`` writers (``render_matrix``, ``export_dimacs``,
+``render_theorem``, ``export_tptp``, ``save_record``) join and decode
+the same generator.  A caller that writes the pieces as they come, as
+the CLI does for large outputs, holds one block and the half-tables,
+about 2^(n/2) texts, instead of the whole output.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import re
 from itertools import repeat
 from operator import add
-from typing import Callable, Iterable, Iterator
+from typing import AnyStr, Callable, Iterable, Iterator
 
 from .errors import (
     CapExceededError,
@@ -62,6 +66,11 @@ from .theoremgen import (
 SCHEMA_VERSION = 1
 
 _TPTP_LOWER_WORD = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+
+# A clause's literal separator and the empty clause, in text and in the
+# UTF-8 the writers yield.
+_OR, _BOX = " ∨ ", "□"
+_OR_UTF8, _BOX_UTF8 = _OR.encode(), _BOX.encode()
 
 
 class AtomNumbering:
@@ -98,7 +107,7 @@ class AtomNumbering:
         return len(self.atoms)
 
 
-def _matrix_lines(rect: Rectangle) -> Iterator[str]:
+def _matrix_lines(rect: Rectangle) -> Iterator[bytes]:
     """The aligned literal grid, one row per line, negation rendered as ¬.
 
     Cells are padded to their column's width and joined with two spaces,
@@ -111,8 +120,9 @@ def _matrix_lines(rect: Rectangle) -> Iterator[str]:
     high-half cells, so the half-tables give every width without a pass
     over the 2^n columns.  Under one block, a low row's segment depends
     only on the block's high-half width, and a high row's on that width
-    and the row's cell in the block, so each row builds each distinct
-    segment once and repeats it.
+    and the row's cell in the block, so each row builds and encodes
+    each distinct segment once and repeats it.  Widths count
+    characters, so cells are padded as ``str``.
     """
     # Cells as one-text tuples: each block is the shared tuples of the
     # low-half cells and the tuple of the block's high-half cells.
@@ -122,7 +132,7 @@ def _matrix_lines(rect: Rectangle) -> Iterator[str]:
     low_widths = [max(map(len, low), default=0) for low in lows]
     blocks = [(max(map(len, tail)), tail) for _, tail in blocks]
     for i in range(rect.n):
-        segments: dict[tuple[int, str | None], str] = {}
+        segments: dict[tuple[int, str | None], bytes] = {}
         row = []
         for width, tail in blocks:
             high = tail[i - h] if i >= h else None
@@ -131,20 +141,20 @@ def _matrix_lines(rect: Rectangle) -> Iterator[str]:
                 cells = (low[i] for low in lows) if high is None else repeat(high)
                 piece = segments[width, high] = "".join(
                     cell.ljust(max(w, width)) + "  " for cell, w in zip(cells, low_widths)
-                )
+                ).encode()
             row.append(piece)
         # Every cell has text, so stripping the last segment strips
         # only the row's trailing padding.
-        row[-1] = row[-1].rstrip() + "\n"
+        row[-1] = row[-1].rstrip() + b"\n"
         yield from row
 
 
 def render_matrix(rect: Rectangle) -> str:
     """``_matrix_lines`` as one string, without the final newline."""
-    return "".join(_matrix_lines(rect))[:-1]
+    return b"".join(_matrix_lines(rect))[:-1].decode()
 
 
-def _dimacs_lines(clause_set: ClauseSet, numbering: AtomNumbering) -> Iterator[str]:
+def _dimacs_lines(clause_set: ClauseSet, numbering: AtomNumbering) -> Iterator[bytes]:
     """DIMACS CNF lines: header line, then one zero-terminated line per clause.
 
     Propositional sets are emitted bare.  If any atom is a predicate, a
@@ -152,22 +162,22 @@ def _dimacs_lines(clause_set: ClauseSet, numbering: AtomNumbering) -> Iterator[s
     """
     if any(isinstance(atom, Pred) for atom in numbering.atoms):
         for i, atom in enumerate(numbering.atoms, start=1):
-            yield f"c {i} {atom}\n"
-    yield f"p cnf {len(numbering)} {len(clause_set)}\n"
+            yield f"c {i} {atom}\n".encode()
+    yield f"p cnf {len(numbering)} {len(clause_set)}\n".encode()
 
-    def token(lit: Literal) -> str:
+    def token(lit: Literal) -> bytes:
         # Each literal brings its own blank, so the empty clause is "0".
         number = numbering.number(lit.atom)
-        return f"-{number} " if lit.negated else f"{number} "
+        return b"-%d " % number if lit.negated else b"%d " % number
 
-    for texts, tail in clause_set.blocks(token, ""):
-        end = tail + "0\n"
+    for texts, tail in clause_set.blocks(token, b""):
+        end = tail + b"0\n"
         yield end.join(texts) + end
 
 
 def export_dimacs(clause_set: ClauseSet, numbering: AtomNumbering) -> str:
     """``_dimacs_lines`` as one string."""
-    return "".join(_dimacs_lines(clause_set, numbering))
+    return b"".join(_dimacs_lines(clause_set, numbering)).decode()
 
 
 def _tptp_name(name: str) -> str:
@@ -239,54 +249,86 @@ def _conjecture_formula(theorem: Theorem) -> str:
     return body
 
 
-def _tptp_lines(theorem: Theorem) -> Iterator[str]:
+def _tptp_lines(theorem: Theorem) -> Iterator[bytes]:
     """TPTP problem lines: premises as cnf axioms, conclusion as fof conjecture.
 
-    Axiom names run premise_0001 upward.  Clause variables stay free
-    (cnf reads them as universally quantified); the fof conjecture is
-    closed with an explicit universal block when variables occur.
+    Axiom names run premise_0001 upward, zero-padded to the digits of
+    the premise count.  Clause variables stay free (cnf reads them as
+    universally quantified); the fof conjecture is closed with an
+    explicit universal block when variables occur.
+
+    A block's lines are laid out in one list, a slice per field, and
+    joined once.  A name is split into its last three digits, taken
+    from a table of 1000, and the digits above them, which stay the same
+    for runs of 1000 names, so no number is formatted per premise.
     """
     premises = theorem.premises
     width = max(4, len(str(len(premises))))
-    start = 1
-    for texts, tail in premises.blocks(_tptp_literal, " | "):
+    low_digits = [b"%03d" % k for k in range(1000)]
+    number = 1
+    for texts, tail in premises.blocks(lambda lit: _tptp_literal(lit).encode(), b" | "):
         # The clauses of a block have equally many literals, so the
         # first one decides the parentheses for all.
-        first = texts[0] + tail
-        close = "" if _tptp_clause_text(first) == first else ")"
-        axiom = f"cnf(premise_{{:0{width}d}}, axiom, {'(' if close else ''}{{}}".format
-        end = f"{tail}{close}).\n"
-        yield end.join(map(axiom, range(start, start + len(texts)), texts)) + end
-        start += len(texts)
-    yield f"fof(conclusion, conjecture, {_conjecture_formula(theorem)}).\n"
+        first = (texts[0] + tail).decode()
+        close = b"" if _tptp_clause_text(first) == first else b")"
+        count = len(texts)
+        heads: list[bytes] = []
+        lows: list[bytes] = []
+        k, stop = number, number + count
+        while k < stop:
+            high, low = divmod(k, 1000)
+            run = min(stop - k, 1000 - low)
+            heads += [b"cnf(premise_%0*d" % (width - 3, high)] * run
+            lows += low_digits[low : low + run]
+            k += run
+        lines = [b""] * (5 * count)
+        lines[0::5] = heads
+        lines[1::5] = lows
+        lines[2::5] = [b", axiom, (" if close else b", axiom, "] * count
+        lines[3::5] = texts
+        lines[4::5] = [tail + close + b").\n"] * count
+        yield b"".join(lines)
+        number = stop
+    yield f"fof(conclusion, conjecture, {_conjecture_formula(theorem)}).\n".encode()
 
 
 def export_tptp(theorem: Theorem) -> str:
     """``_tptp_lines`` as one string."""
-    return "".join(_tptp_lines(theorem))
+    return b"".join(_tptp_lines(theorem)).decode()
 
 
 def _clause_blocks(
-    clause_set: ClauseSet, token: Callable[[Literal], str] = str
-) -> Iterator[tuple[list[str], str]]:
+    clause_set: ClauseSet,
+    token: Callable[[Literal], AnyStr] = str,
+    sep: AnyStr = _OR,
+    box: AnyStr = _BOX,
+) -> Iterator[tuple[list[AnyStr], AnyStr]]:
     """``clause_set.blocks`` of the clauses' ``str``, literals rendered by
-    ``token``, without building the clauses of a rectangle view.  The
-    empty clause, always a block of its own, renders as □."""
-    for texts, tail in clause_set.blocks(token, " ∨ "):
-        yield (texts, tail) if tail or texts[0] else (["□"], tail)
+    ``token`` and joined by ``sep``, without building the clauses of a
+    rectangle view.  The empty clause, always a block of its own,
+    renders as ``box``."""
+    for texts, tail in clause_set.blocks(token, sep):
+        yield (texts, tail) if tail or texts[0] else ([box], tail)
 
 
-def _theorem_lines(theorem: Theorem) -> Iterator[str]:
+def _utf8_clause_blocks(
+    clause_set: ClauseSet, token: Callable[[Literal], str] = str
+) -> Iterator[tuple[list[bytes], bytes]]:
+    """``_clause_blocks`` in UTF-8, each token encoded once."""
+    return _clause_blocks(clause_set, lambda lit: token(lit).encode(), _OR_UTF8, _BOX_UTF8)
+
+
+def _theorem_lines(theorem: Theorem) -> Iterator[bytes]:
     """Plain text lines: one premise per line, then the turnstile line."""
-    for texts, tail in _clause_blocks(theorem.premises):
-        end = tail + "\n"
+    for texts, tail in _utf8_clause_blocks(theorem.premises):
+        end = tail + b"\n"
         yield end.join(texts) + end
-    yield f"⊢ {theorem.conclusion}\n"
+    yield f"⊢ {theorem.conclusion}\n".encode()
 
 
 def render_theorem(theorem: Theorem) -> str:
     """``_theorem_lines`` as one string."""
-    return "".join(_theorem_lines(theorem))
+    return b"".join(_theorem_lines(theorem)).decode()
 
 
 def _term_to_json(term: Term):
@@ -349,7 +391,7 @@ def _literal_from_json(data) -> Literal:
     return Literal(atom, negated)
 
 
-def _record_lines(theorem: Theorem) -> Iterator[str]:
+def _record_lines(theorem: Theorem) -> Iterator[bytes]:
     """Versioned JSON form of a theorem, one block of premises per piece.
 
     Generators are stored structurally (so variable/constant identity
@@ -368,7 +410,7 @@ def _record_lines(theorem: Theorem) -> Iterator[str]:
         "removed_indices": list(theorem.provenance.removed_indices),
     }
     # Reopen the dumped head after its last field: drop the closing "\n}".
-    yield json.dumps(head, ensure_ascii=False, indent=2)[:-2] + ",\n"
+    yield (json.dumps(head, ensure_ascii=False, indent=2)[:-2] + ",\n").encode()
 
     def token(lit: Literal) -> str:
         # JSON escapes a string one character at a time, so a clause's
@@ -376,19 +418,20 @@ def _record_lines(theorem: Theorem) -> Iterator[str]:
         # and " ∨ " need no escaping.
         return encode_basestring(str(lit))[1:-1]
 
-    lead = '  "premises": [\n    "'
+    lead = b'  "premises": [\n    "'
     empty = True
-    for texts, tail in _clause_blocks(theorem.premises, token):
-        end = tail + '"'
-        yield lead + (end + ',\n    "').join(texts) + end
-        lead, empty = ',\n    "', False
+    for texts, tail in _utf8_clause_blocks(theorem.premises, token):
+        end = tail + b'"'
+        yield lead + (end + b',\n    "').join(texts) + end
+        lead, empty = b',\n    "', False
     conclusion = encode_basestring(str(theorem.conclusion))
-    yield ('  "premises": [],\n' if empty else "\n  ],\n") + f'  "conclusion": {conclusion}\n}}\n'
+    last = ('  "premises": [],\n' if empty else "\n  ],\n") + f'  "conclusion": {conclusion}\n}}\n'
+    yield last.encode()
 
 
 def save_record(theorem: Theorem) -> str:
     """``_record_lines`` as one string."""
-    return "".join(_record_lines(theorem))
+    return b"".join(_record_lines(theorem)).decode()
 
 
 def read_record(text: str) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Union
+from typing import AnyStr, Callable, Iterable, Iterator, Union
 
 from .errors import EmptyClauseError
 
@@ -261,19 +261,22 @@ class ClauseSet:
         return self.clauses[i]
 
     def blocks(
-        self, token: Callable[[Literal], str], sep: str
-    ) -> Iterator[tuple[list[str], str]]:
+        self, token: Callable[[Literal], AnyStr], sep: AnyStr
+    ) -> Iterator[tuple[list[AnyStr], AnyStr]]:
         """Each clause's literals rendered by ``token`` and joined by ``sep``,
         in clause order, in blocks ``(texts, tail)``: each clause of a
         block is one of ``texts`` followed by ``tail``.
 
         Here every clause is a block of its own with an empty tail, and
-        the empty clause gives the empty string.  A rectangle view
-        (``rectangle.ColumnSet``) yields larger blocks whose clauses all
-        have the same number of literals.
+        the empty clause gives the empty text.  Tokens may be ``str`` or
+        ``bytes``, as long as ``sep`` is of the same type; the empty
+        tail is ``sep[:0]``.  A rectangle view (``rectangle.ColumnSet``)
+        yields larger blocks whose clauses all have the same number of
+        literals.
         """
+        empty = sep[:0]
         for clause in self.clauses:
-            yield [sep.join(map(token, clause.literals))], ""
+            yield [sep.join(map(token, clause.literals))], empty
 
     def __repr__(self) -> str:
         return f"ClauseSet([{', '.join(str(c) for c in self.clauses)}])"

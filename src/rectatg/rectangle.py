@@ -21,12 +21,15 @@ cross-check, and the routes must agree cell for cell.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Iterator
+from typing import AnyStr, Callable, Collection, Iterable, Iterator, TypeVar
 
 from .errors import IndexOutOfRangeError, SizeCapError
 from .logic import Clause, ClauseSet, Literal, negate_literal
 from .parser import GenerationSet
 from .template import DEFAULT_MAX_LEVEL, _sign_rows
+
+# A token type that ``+`` joins: str, bytes or tuples of cells.
+_Text = TypeVar("_Text")
 
 
 class Rectangle:
@@ -74,10 +77,10 @@ class Rectangle:
 
     def column_blocks(
         self,
-        token: Callable[[Literal], str],
-        sep: str,
+        token: Callable[[Literal], _Text],
+        sep: _Text,
         drop: Collection[int] = (),
-    ) -> Iterator[tuple[list[str], str]]:
+    ) -> Iterator[tuple[list[_Text], _Text]]:
         """Column texts, in column order, in blocks ``(lows, tail)``: each
         column of a block is one of ``lows`` followed by ``tail``.
 
@@ -96,8 +99,9 @@ class Rectangle:
         dropped column, so callers must not change it.
 
         The blocks are only concatenated, so tokens of any type that
-        ``+`` joins will do: one-literal tuples with ``sep=()`` give the
-        column tuples of the clause view.
+        ``+`` joins will do: the writers pass UTF-8 ``bytes``, and
+        one-literal tuples with ``sep=()`` give the column tuples of the
+        clause view.
         """
         tokens = [(token(pos), token(neg)) for pos, neg in self._signs]
         h = len(tokens) // 2
@@ -152,9 +156,13 @@ def _cell(lit: Literal) -> tuple[Literal]:
 class ColumnSet(ClauseSet):
     """The columns of a rectangle, minus the dropped ones, as a clause set.
 
-    The Clause tuple is built only when the set is iterated, indexed or
-    compared.  ``len`` needs nothing built, and ``blocks`` renders through
-    ``Rectangle.column_blocks``.
+    The Clause tuple is built only when the set is iterated, indexed,
+    hashed or compared with a clause set that is not a view of an equal
+    rectangle.  ``len`` needs nothing built, ``blocks`` renders through
+    ``Rectangle.column_blocks``, and two views of equal rectangles are
+    equal exactly when they drop the same columns: the generators'
+    predicate symbols are pairwise distinct, so no two columns are equal
+    clauses.
     """
 
     __slots__ = ("rect", "drop", "_kept")
@@ -176,14 +184,22 @@ class ColumnSet(ClauseSet):
     def __len__(self) -> int:
         return self.rect.width - len(self.drop)
 
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ColumnSet) and self.rect == other.rect:
+            return self.drop == other.drop
+        return ClauseSet.__eq__(self, other)
+
+    # Equal views hold equal clauses, so the clause tuple's hash agrees.
+    __hash__ = ClauseSet.__hash__
+
     def __reduce__(self):
         # The inherited clauses slot is shadowed by the property above,
         # so pickle and copy rebuild the view instead of storing slots.
         return ColumnSet, (self.rect, self.drop)
 
     def blocks(
-        self, token: Callable[[Literal], str], sep: str
-    ) -> Iterator[tuple[list[str], str]]:
+        self, token: Callable[[Literal], AnyStr], sep: AnyStr
+    ) -> Iterator[tuple[list[AnyStr], AnyStr]]:
         return self.rect.column_blocks(token, sep, self.drop)
 
 

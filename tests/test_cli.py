@@ -705,6 +705,150 @@ def test_reader_gone_before_the_first_byte_is_not_an_error(argv, buffered):
     assert (done.returncode, done.stderr) == (0, b"")
 
 
+class RecordingRaw(io.RawIOBase):
+    """A raw stream that keeps each write's size and the bytes written."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes: list[int] = []
+        self.data = bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.sizes.append(len(data))
+        self.data += data
+        return len(data)
+
+
+def _recording_stdout(monkeypatch, encoding="utf-8") -> RecordingRaw:
+    raw = RecordingRaw()
+    out = io.TextIOWrapper(io.BufferedWriter(raw), encoding=encoding)
+    monkeypatch.setattr(sys, "stdout", out)
+    return raw
+
+
+def _quoted_names(n: int) -> str:
+    # Uppercase constants and predicates, which TPTP quotes.
+    return ", ".join(f"Q{i}(f(a{i % 3}, X), Big{i})" if i % 2 else f"~q{i}(b)" for i in range(n))
+
+
+@pytest.mark.parametrize("literals", (_names(13), _fo_names(12), _quoted_names(11), "p, ~Q(X)"))
+@pytest.mark.parametrize("command, output", FORMATS)
+def test_utf8_stdout_gets_whole_64_kib_chunks(monkeypatch, literals, command, output):
+    g = parse_generation_set(literals)
+    rect = construct_from_template(g)
+    t = generate_theorem_with_partition(g, (0, 3))
+    want = {
+        "matrix": render_matrix(rect) + "\n",
+        "dimacs": export_dimacs(rect.clause_set(), AtomNumbering.from_rectangle(rect)),
+        "text": render_theorem(t),
+        "tptp": export_tptp(t),
+        "json": save_record(t),
+    }[output]
+    raw = _recording_stdout(monkeypatch)
+    extra = ("-H", "0,3") if command == "generate" else ()
+    assert main([command, "-l", literals, "-o", output, *extra]) == 0
+    assert raw.sizes and all(size % cli._CHUNK == 0 for size in raw.sizes[:-1])
+    assert bytes(raw.data) == want.encode("utf-8")
+
+
+# Pieces that put the first 64 KiB boundary inside "∨" and the second
+# inside "¬", and a piece that holds whole chunks after a ragged start.
+_CUT_PIECES = (
+    b"x" * (cli._CHUNK - 2) + " ∨ ".encode(),
+    b"y" * (cli._CHUNK - 4) + "¬p\n".encode(),
+    "p ∨ ¬q\n".encode() * 30000,
+    b"",
+    "⊢ ¬p\n".encode(),
+)
+
+
+def test_stand_in_stdout_gets_whole_decoded_pieces(monkeypatch):
+    got = []
+
+    class Sink:
+        def write(self, text: str) -> int:
+            got.append(text)
+            return len(text)
+
+        def flush(self) -> None:
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    cli._write(iter(_CUT_PIECES))
+    assert got == [piece.decode() for piece in _CUT_PIECES]
+
+
+def test_utf8_stdout_chunks_may_cut_a_character(monkeypatch):
+    raw = _recording_stdout(monkeypatch)
+    cli._write(iter(_CUT_PIECES))
+    assert bytes(raw.data) == b"".join(_CUT_PIECES)
+    assert all(size % cli._CHUNK == 0 for size in raw.sizes[:-1])
+    # The first write ends one byte into "∨", the second inside "¬".
+    assert raw.sizes[:2] == [cli._CHUNK, cli._CHUNK]
+    assert raw.data[cli._CHUNK - 1 : cli._CHUNK + 2] == "∨".encode()
+    assert raw.data[2 * cli._CHUNK - 1 : 2 * cli._CHUNK + 1] == "¬".encode()
+
+
+def test_text_written_before_the_pieces_comes_first(monkeypatch):
+    raw = _recording_stdout(monkeypatch)
+    sys.stdout.write("before\n")
+    cli._write(iter((b"after\n",)))
+    assert bytes(raw.data) == b"before\nafter\n"
+
+
+def _encoded_run(encoding: str, *argv: str) -> subprocess.CompletedProcess:
+    env = _child_env(True)
+    env["PYTHONIOENCODING"] = encoding
+    return subprocess.run(
+        [sys.executable, "-m", "rectatg", *argv], capture_output=True, env=env, timeout=60
+    )
+
+
+# generate at n=2 is written whole; the others have 2047 or 2048
+# clauses and are streamed.  The error names the position of the first
+# "¬" in the piece that holds it: the whole text, the first block of
+# premises, the matrix's first row segment, the record's first block.
+@pytest.mark.parametrize(
+    "argv, position",
+    (
+        (("generate", "-l", "p, q"), 0),
+        (("generate", "-l", _names(11)), 0),
+        (("rectangle", "-l", _names(11)), 5),
+        (("generate", "-l", _fo_names(11), "-o", "json", "-H", "1,2"), 21),
+    ),
+)
+def test_stdout_that_cannot_encode_the_text_is_an_input_error(argv, position):
+    done = _encoded_run("ascii", *argv)
+    assert done.returncode == 2
+    assert done.stderr.decode() == (
+        "error: 'ascii' codec can't encode character '\\xac' in position "
+        f"{position}: ordinal not in range(128)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("generate", "-l", "p, q"),
+        ("generate", "-l", _names(11)),
+        ("rectangle", "-l", _names(11)),
+        ("generate", "-l", _quoted_names(11), "-o", "tptp"),
+        ("check", "-l", "p, q"),
+    ),
+)
+def test_utf16_stdout_gets_the_same_text(argv):
+    done = _encoded_run("utf-16", *argv)
+    assert (done.returncode, done.stderr) == (0, b"")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(list(argv)) == 0
+    # stdout's encoder starts without the byte order mark that
+    # str.encode puts first.
+    assert done.stdout == out.getvalue().encode("utf-16")[2:]
+
+
 _LITERAL_TEXT = st.text(
     st.sampled_from("pqPQRfgxXa01_(),;=~¬ \n\t") | st.characters(), max_size=40
 ) | st.lists(
@@ -784,7 +928,10 @@ def _exit_code(argv) -> int:
 @given(
     st.sampled_from(_INPUT_COMMANDS),
     st.binary(max_size=60)
-    | _LITERAL_TEXT.map(lambda text: text.encode("utf-8"))
+    # st.characters() can draw a lone surrogate, which strict UTF-8
+    # cannot encode; "surrogatepass" writes it as bytes that are not
+    # valid UTF-8, which the CLI must turn away with exit 2.
+    | _LITERAL_TEXT.map(lambda text: text.encode("utf-8", "surrogatepass"))
     | _spliced(b"p, ~Q(X, f(a))\nr; S(g(b), Z)"),
 )
 def test_any_literal_file_exits_with_a_documented_code(tmp_path_factory, command, data):

@@ -45,6 +45,7 @@ from conftest import (
     random_generation_set,
     record_reference,
     replace,
+    tptp_reference,
     unchecked_prop,
 )
 
@@ -364,6 +365,19 @@ def test_record_streams_names_that_json_escapes(hypothesis):
     odd = GenerationSet(tuple(Literal(unchecked_prop(x), i == 1) for i, x in enumerate(names)))
     t = generate_theorem_with_partition(odd, hypothesis)
     assert save_record(t) == record_reference(t)
+
+
+@pytest.mark.parametrize("hypothesis", (range(6385), range(6384), (0, 999, 1000, 4095)))
+def test_tptp_axiom_names_match_formatted_numbers(hypothesis):
+    # 9999 premises take four digits and 10000 take five; the other
+    # split leaves 16380 premises at n=14, in blocks of 128 lines that
+    # cross every thousand.
+    g = parse_generation_set(", ".join(f"p{i}" for i in range(14)))
+    t = generate_theorem_with_partition(g, hypothesis)
+    got, want = export_tptp(t), tptp_reference(t)
+    assert first_difference(got, want) is None
+    width = len(re.search(r"premise_(\d+),", got).group(1))
+    assert width == max(4, len(str(len(t.premises))))
 
 
 def test_oversized_integer_in_a_record_is_malformed():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from rectatg import (
     SizeCapError,
     complementary,
     construct_from_template,
+    generate_theorem_with_partition,
     negate_literal,
     parse_generation_set,
     polarity_at,
@@ -220,3 +222,46 @@ def test_closed_forms_compare_and_hash_without_laying_out_rows():
     other = construct_from_template(parse_generation_set("p00, ~p01"))
     assert a != other and other != a
 
+
+
+def test_equal_theorems_compare_without_building_their_clauses():
+    # Comparing the two views clause by clause would build both
+    # rectangles' 16384 Clause objects, tens of MiB at n=14.
+    g = parse_generation_set(", ".join(f"p{i}" for i in range(14)))
+    t1 = generate_theorem_with_partition(g, (0, 5, 9000))
+    t2 = generate_theorem_with_partition(g, (9000, 5, 0))
+    assert t1.premises.rect is not t2.premises.rect
+    tracemalloc.start()
+    try:
+        equal = t1 == t2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert equal
+    assert peak < 1 << 20, peak
+    assert t1.premises._kept is None and t1.premises.rect._clauses is None
+    assert t1 != generate_theorem_with_partition(g, (0, 5, 9001))
+
+
+@pytest.mark.parametrize("text", ("p, ~q, r", "P(f(X)), ~Q(a, Y), x = f(b)"))
+def test_column_views_compare_by_their_drops_and_as_clause_sets(text):
+    rect = construct_from_template(parse_generation_set(text))
+    other = construct_from_template(parse_generation_set(text))
+    for drop in ((), (1,), (0, 7), tuple(range(8))):
+        view = remove_clauses(rect, drop)
+        plain = ClauseSet(grid_clauses(construct_naive(rect.generators)))
+        plain = ClauseSet(c for j, c in enumerate(plain) if j not in drop)
+        assert view == remove_clauses(other, reversed(drop))
+        assert view == plain and plain == view
+        assert hash(view) == hash(plain) == hash(remove_clauses(other, drop))
+        assert view != ClauseSet(reversed(plain.clauses)) or len(plain) < 2
+    assert remove_clauses(rect, ()) == rect.clause_set()
+    assert remove_clauses(rect, (1,)) != remove_clauses(other, (2,))
+    assert remove_clauses(rect, (1,)) != remove_clauses(other, (1, 2))
+    assert remove_clauses(rect, ()) != remove_clauses(rect, range(8))
+    # Views of unequal rectangles compare clause by clause.
+    flipped = construct_from_template(parse_generation_set("~p, ~q, r"))
+    if text == "p, ~q, r":
+        # The same clauses in another order are not an equal clause set.
+        assert remove_clauses(rect, ()) != flipped.clause_set()
+        assert set(rect.clauses) == set(flipped.clauses)
