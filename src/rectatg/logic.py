@@ -10,9 +10,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from operator import attrgetter
-from typing import AnyStr, Callable, Iterable, Iterator, Union
+from typing import AnyStr, Callable, Collection, Iterable, Iterator, Union
 
-from .errors import EmptyClauseError
+from .errors import EmptyClauseError, TooManyAtomsError
 
 _SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -153,6 +153,9 @@ class Pred(_Value):
 
 Atom = Union[Prop, Pred]
 
+# What ClauseSet.masks returns: atoms, (pos, neg) pairs, first-appearance clauses.
+Masks = tuple[tuple[Atom, ...], Iterable[tuple[int, int]], Collection[int]]
+
 
 class Literal(_Value):
     __slots__ = ("atom", "negated")
@@ -277,6 +280,41 @@ class ClauseSet:
         empty = sep[:0]
         for clause in self.clauses:
             yield [sep.join(map(token, clause.literals))], empty
+
+    def masks(self, max_atoms: int, index: dict[Atom, int] | None = None) -> Masks:
+        """The atoms in first-appearance order, one ``(pos, neg)`` bit-mask
+        pair per clause, and the indices of the clauses that hold some
+        atom's first appearance.
+
+        Atom i is bit i: ``pos`` holds a clause's positive atoms and
+        ``neg`` its negated ones.  A given ``index`` numbers the atoms it
+        holds and is extended with the new ones.  The atom cap is checked
+        as each new atom appears, so a set over too many atoms is refused
+        part way.  The masks may be read more than once; a rectangle view
+        (``rectangle.ColumnSet``) computes them from the cell rule.
+
+        >>> p, q = Literal(Prop("p")), Literal(Prop("q"), True)
+        >>> atoms, masks, firsts = ClauseSet([Clause([q]), Clause([p, q])]).masks(24)
+        >>> [str(a) for a in atoms], masks, firsts
+        (['q', 'p'], [(0, 1), (2, 1)], {0, 1})
+        """
+        index = {} if index is None else index
+        masks, firsts = [], set()
+        for j, clause in enumerate(self.clauses):
+            known = len(index)
+            pos = neg = 0
+            for lit in clause.literals:
+                bit = 1 << index.setdefault(lit.atom, len(index))
+                if len(index) > max_atoms:
+                    raise TooManyAtomsError(len(index), max_atoms)
+                if lit.negated:
+                    neg |= bit
+                else:
+                    pos |= bit
+            masks.append((pos, neg))
+            if len(index) > known:
+                firsts.add(j)
+        return tuple(index), masks, firsts
 
     def __repr__(self) -> str:
         return f"ClauseSet([{', '.join(str(c) for c in self.clauses)}])"

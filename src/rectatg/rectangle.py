@@ -14,17 +14,20 @@ and polarity as one block per pattern of the high half of the rows, a
 shared list of low-half texts and the block's high-half text, so a
 writer joins a block at a time; the clause view joins the same blocks
 of one-cell tuples, and ``remove_clauses`` returns a clause set whose
-``blocks`` are the kept columns' blocks.  The level-by-level
-doubling construction lives in the tests as an independent
-cross-check, and the routes must agree cell for cell.
+``blocks`` are the kept columns' blocks.  Nor do the oracles: that
+clause set answers ``masks`` from the cell rule, so the layout is known
+here alone.  The level-by-level doubling construction lives in the
+tests as an independent cross-check, and the routes must agree cell
+for cell.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import AnyStr, Callable, Collection, Iterable, Iterator, TypeVar
 
-from .errors import IndexOutOfRangeError, SizeCapError
-from .logic import Clause, ClauseSet, Literal, negate_literal
+from .errors import IndexOutOfRangeError, SizeCapError, TooManyAtomsError
+from .logic import Atom, Clause, ClauseSet, Literal, Masks, negate_literal
 from .parser import GenerationSet
 from .template import DEFAULT_MAX_LEVEL, _sign_rows
 
@@ -159,10 +162,10 @@ class ColumnSet(ClauseSet):
     The Clause tuple is built only when the set is iterated, indexed,
     hashed or compared with a clause set that is not a view of an equal
     rectangle.  ``len`` needs nothing built, ``blocks`` renders through
-    ``Rectangle.column_blocks``, and two views of equal rectangles are
-    equal exactly when they drop the same columns: the generators'
-    predicate symbols are pairwise distinct, so no two columns are equal
-    clauses.
+    ``Rectangle.column_blocks``, ``masks`` reads the cell rule, and two
+    views of equal rectangles are equal exactly when they drop the same
+    columns: the generators' predicate symbols are pairwise distinct, so
+    no two columns are equal clauses.
     """
 
     __slots__ = ("rect", "drop", "_kept")
@@ -202,6 +205,49 @@ class ColumnSet(ClauseSet):
     ) -> Iterator[tuple[list[AnyStr], AnyStr]]:
         return self.rect.column_blocks(token, sep, self.drop)
 
+    def masks(self, max_atoms: int, index: dict[Atom, int] | None = None) -> Masks:
+        """``ClauseSet.masks`` from the cell rule, building no Clause.
+
+        Every column lists the n generators' atoms in row order, so atom
+        i is generator i, and column j negates the atoms in ``flip ^ j``,
+        where ``flip`` holds the negated generators, and holds the rest
+        positive.  The atom cap is checked on n before any mask is made.
+        A view that keeps no column has no atoms, and only removing a
+        one-column view's column renumbers them.  An ``index`` that
+        already numbers some atoms takes the Clause route.
+
+        >>> from rectatg import parse_generation_set
+        >>> view = remove_clauses(Rectangle(parse_generation_set("p, ~q")), [0])
+        >>> atoms, masks, firsts = view.masks(24)
+        >>> (atoms, list(masks)) == ClauseSet(tuple(view)).masks(24)[:2]
+        True
+        >>> [str(a) for a in atoms], list(masks), firsts
+        (['p', 'q'], [(0, 3), (3, 0), (2, 1)], ())
+        """
+        if index or not len(self):
+            return ClauseSet.masks(self, max_atoms, index)
+        rect = self.rect
+        if rect.n > max_atoms:
+            raise TooManyAtomsError(rect.n, max_atoms)
+        index = {} if index is None else index
+        index.update((lit.atom, i) for i, lit in enumerate(rect.generators))
+        flip = sum(1 << i for i, lit in enumerate(rect.generators) if lit.negated)
+        pos0, drop, width = (rect.width - 1) ^ flip, self.drop, rect.width
+        masks = _Passes(lambda: ((pos0 ^ j, flip ^ j) for j in range(width) if j not in drop))
+        return tuple(index), masks, (0,) if len(self) == 1 else ()
+
+
+class _Passes:
+    """An iterable that calls ``make`` for a fresh iterator on each pass."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[], Iterator]):
+        self.make = make
+
+    def __iter__(self) -> Iterator:
+        return self.make()
+
 
 def construct_from_template(
     generators: GenerationSet, max_level: int = DEFAULT_MAX_LEVEL
@@ -219,14 +265,24 @@ def construct_from_template(
     return Rectangle(generators)
 
 
+def _column_index(j) -> int:
+    """j read through ``operator.index``; a float or a str is an
+    IndexOutOfRangeError."""
+    try:
+        return operator.index(j)
+    except TypeError:
+        raise IndexOutOfRangeError(f"column {j!r} is not an integer") from None
+
+
 def remove_clauses(rect: Rectangle, indices: Iterable[int]) -> ClauseSet:
     """Clause set left after deleting the given columns (duplicates ignored).
 
     Remaining clauses keep their original order.  Removing every column
     yields the empty clause set.  The result is a view of the rectangle:
-    its clauses are built when it is first iterated.
+    its clauses are built when it is first iterated.  Each index must be
+    an integer, as ``operator.index`` reads it, in ``0..width-1``.
     """
-    drop = frozenset(indices)
+    drop = frozenset(map(_column_index, indices))
     width = rect.width
     for j in drop:
         if not 0 <= j < width:

@@ -25,24 +25,21 @@ the empty clause falsifies all ``2^k`` points.  Marking every subcube in
 a ``2^k``-byte array costs ``Σ_c 2^(k−|c|)`` marks; the unmarked points
 are the satisfying assignments.  The marks are counts saturated at 2,
 so ``check_minimality`` reads every single-clause removal off the same
-array.
-
-A rectangle's columns, as a ``ColumnSet``, give their masks without a
-Clause: every column lists the n generators' atoms in row order, so
-atom i is generator i, and the cell rule gives column j's negated atoms
-as ``j ^ flip``, where ``flip`` holds the negated generators.
+array.  Every oracle takes the numbering and the masks from
+``ClauseSet.masks``, which a rectangle's view answers from its cell
+rule without building a Clause.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from operator import eq
 from typing import TYPE_CHECKING, Dict
 
-from .errors import ProductTooLargeError, TooManyAtomsError
+from .errors import ProductTooLargeError
 from .logic import Atom, ClauseSet, _set, _Value
-from .rectangle import ColumnSet, Rectangle
+from .rectangle import Rectangle
 
 if TYPE_CHECKING:
     from array import array
@@ -50,8 +47,8 @@ if TYPE_CHECKING:
 DEFAULT_MAX_ATOMS = 24
 DEFAULT_MAX_PRODUCT = 10**7
 
-# Below this width `entails` takes the Clause route and cli._emit renders
-# whole through the `str` writers, so that bench/test_bench.py::
+# Below this many clauses `entails` takes the Clause route and cli._emit
+# renders whole through the `str` writers, so that bench/test_bench.py::
 # test_tracer_wraps_every_lookup_and_restores_it still sees the
 # `Rectangle.clauses`, `is_satisfiable` and `render_theorem` spans of a
 # small `generate --verify`.
@@ -70,75 +67,6 @@ class SatResult(_Value):
     @property
     def verdict(self) -> str:
         return "SAT" if self.satisfiable else "UNSAT"
-
-
-def _clause_masks(
-    clauses: Iterable, max_atoms: int, index: dict[Atom, int] | None = None
-) -> tuple[tuple[Atom, ...], list[tuple[int, int]], set[int]]:
-    """Atoms in first-appearance order, one ``(pos, neg)`` bit-mask pair
-    per clause, and the indices of the clauses that hold some atom's
-    first appearance.
-
-    Atom i is bit i; a given ``index`` numbers the atoms it holds and is
-    extended with the new ones.  The atom cap is checked as each new
-    atom appears, so a set over too many atoms is refused part way.
-    Rectangles reuse one literal object per row and polarity, so literal
-    bits are cached by identity and each atom is hashed once per literal
-    object rather than once per cell.  The ids stay valid because the
-    clauses hold every literal for the whole pass.
-    """
-    index = {} if index is None else index
-    bits: dict[int, tuple[int, int]] = {}
-    masks = []
-    firsts = set()
-    for j, clause in enumerate(clauses):
-        known = len(index)
-        pos = neg = 0
-        for lit in clause.literals:
-            hit = bits.get(id(lit))
-            if hit is None:
-                bit = 1 << index.setdefault(lit.atom, len(index))
-                if len(index) > max_atoms:
-                    raise TooManyAtomsError(len(index), max_atoms)
-                hit = bits[id(lit)] = (0, bit) if lit.negated else (bit, 0)
-            pos |= hit[0]
-            neg |= hit[1]
-        masks.append((pos, neg))
-        if len(index) > known:
-            firsts.add(j)
-    return tuple(index), masks, firsts
-
-
-def _closed_columns(clauses) -> ColumnSet | None:
-    """The clause set as a ColumnSet whose masks are read from the closed
-    form, or None for the Clause route.
-
-    A view that keeps no column has no atoms, where the closed form
-    would number the generators', so it takes the Clause route too.
-    """
-    return clauses if isinstance(clauses, ColumnSet) and len(clauses) else None
-
-
-def _closed_form_index(rect: Rectangle, max_atoms: int) -> dict[Atom, int]:
-    """Atom i is generator i's atom.  The cap is checked on ``rect.n``
-    before anything is built."""
-    if rect.n > max_atoms:
-        raise TooManyAtomsError(rect.n, max_atoms)
-    return {lit.atom: i for i, lit in enumerate(rect.generators)}
-
-
-def _closed_form_masks(
-    rect: Rectangle, index: dict[Atom, int], drop=()
-) -> Iterator[tuple[int, int]]:
-    """``(pos, neg)`` of each closed-form column not in ``drop``, streamed.
-
-    By the cell rule, column j negates the atoms in ``flip ^ j``, where
-    ``flip`` holds the negated generators, and holds the other atoms
-    positive: ``pos0 ^ j``, where ``pos0`` holds the positive generators.
-    """
-    flip = sum(1 << index[lit.atom] for lit in rect.generators if lit.negated)
-    pos0 = ((1 << rect.n) - 1) ^ flip
-    return ((pos0 ^ j, flip ^ j) for j in range(rect.width) if j not in drop)
 
 
 def _subcube(pos: int, neg: int, k: int):
@@ -206,18 +134,10 @@ def is_satisfiable(
     bytes plus ``Σ_c 2^(k−|c|)`` marks, where ``|c|`` counts the distinct
     atoms of clause c.  The empty clause set is satisfiable (empty
     witness); a set containing the empty clause never is.  The atom
-    bound is checked before the array is allocated, and for a
-    rectangle's columns before any mask is.  A nonempty view of a
-    rectangle's columns streams its masks from the cell rule and builds
-    no Clause.
+    bound is checked by ``clause_set.masks``, before the array is
+    allocated.
     """
-    columns = _closed_columns(clause_set)
-    if columns is not None:
-        index = _closed_form_index(columns.rect, max_atoms)
-        atoms = tuple(index)
-        masks = _closed_form_masks(columns.rect, index, columns.drop)
-    else:
-        atoms, masks, _ = _clause_masks(clause_set, max_atoms)
+    atoms, masks, _ = clause_set.masks(max_atoms)
     return _result(atoms, _cover(masks, len(atoms)).find(0))
 
 
@@ -374,12 +294,10 @@ def check_minimality(
 
     The witness identity needs the remaining clauses to number their
     atoms as the full set does.  A clause holding some atom's first
-    appearance (clause 0 of a plain clause set) is therefore decided by
-    ``is_satisfiable`` on the other clauses.  A nonempty view of a
-    rectangle's columns lists all n atoms in row order in every column,
-    so its masks are streamed from the cell rule twice, for the cover
-    and for the removals, and only removing a view's one column
-    renumbers anything: it leaves the empty set.  Cost: one
+    appearance, as ``clauses.masks`` names them (clause 0 of a plain
+    clause set), is therefore decided by ``is_satisfiable`` on the other
+    clauses; removing a set's only clause leaves the empty set.  The
+    masks are read twice, for the cover and for the removals.  Cost: one
     ``2^k``-byte array, ``Σ_c 2^(k−|c|)`` marks, the subcube scans of
     the removals and 8 bytes per removal.
 
@@ -393,29 +311,16 @@ def check_minimality(
 
     if isinstance(clauses, Rectangle):
         clauses = clauses.clause_set()
-    columns = _closed_columns(clauses)
-    if columns is not None:
-        index = _closed_form_index(columns.rect, max_atoms)
-        atoms = tuple(index)
-        masks = _closed_form_masks(columns.rect, index, columns.drop)
-        # Only removing a view's one column renumbers the atoms, and it
-        # leaves the empty set: no clause needs listing.
-        listed = ()
-        firsts = {0} if len(columns) == 1 else ()
-    else:
-        listed = tuple(clauses)
-        atoms, masks, firsts = _clause_masks(listed, max_atoms)
+    atoms, masks, firsts = clauses.masks(max_atoms)
     k = len(atoms)
     full = (1 << k) - 1
     counts = _cover(masks, k)
     zero = counts.find(0)
-    if columns is not None:
-        masks = _closed_form_masks(columns.rect, index, columns.drop)
     witnesses = array("q")
     decided = {}
     for j, (pos, neg) in enumerate(masks):
         if j in firsts:
-            rest = ClauseSet(listed[:j] + listed[j + 1 :])
+            rest = ClauseSet(clauses[:j] + clauses[j + 1 :] if len(clauses) > 1 else ())
             result = decided[j] = is_satisfiable(rest, max_atoms)
             witnesses.append(0 if result.satisfiable else -1)
             continue
@@ -439,17 +344,15 @@ def entails(
     """Refutation check: premises entail the negation of the hypothesis
     conjunction exactly when premises plus hypothesis are unsatisfiable.
 
-    Premises cut from a rectangle of ``_CLOSED_FORM_MIN_WIDTH`` columns
-    or more are covered from their streamed masks, with the hypothesis
-    clauses numbered after the generators' atoms, so the premise clauses
-    are never built.  Narrower premises take the Clause route through
-    ``is_satisfiable``.
+    ``_CLOSED_FORM_MIN_WIDTH`` premises or more are covered from their
+    ``masks``, with the hypothesis atoms numbered after theirs, so a
+    rectangle view's premise clauses are never built.  Fewer premises
+    take the Clause route through ``is_satisfiable``.
     """
-    columns = _closed_columns(premises)
-    if columns is None or columns.rect.width < _CLOSED_FORM_MIN_WIDTH:
+    if len(premises) < _CLOSED_FORM_MIN_WIDTH:
         combined = ClauseSet(tuple(premises) + tuple(hypothesis))
         return not is_satisfiable(combined, max_atoms).satisfiable
-    index = _closed_form_index(columns.rect, max_atoms)
-    _, hypothesis_masks, _ = _clause_masks(hypothesis, max_atoms, index)
-    masks = chain(_closed_form_masks(columns.rect, index, columns.drop), hypothesis_masks)
-    return _cover(masks, len(index)).find(0) < 0
+    index: dict[Atom, int] = {}
+    _, premise_masks, _ = premises.masks(max_atoms, index)
+    _, hypothesis_masks, _ = hypothesis.masks(max_atoms, index)
+    return _cover(chain(premise_masks, hypothesis_masks), len(index)).find(0) < 0

@@ -20,7 +20,7 @@ from typing import Iterable
 from .errors import EmptyHypothesisError, IndexOutOfRangeError
 from .logic import Clause, ClauseSet, Literal, _set, _Value, negate_clause, negate_literal
 from .parser import GenerationSet
-from .rectangle import construct_from_template, remove_clauses
+from .rectangle import _column_index, construct_from_template, remove_clauses
 from .semantics import DEFAULT_MAX_ATOMS, entails
 from .template import DEFAULT_MAX_LEVEL
 
@@ -106,7 +106,7 @@ def generate_theorem_with_partition(
     a literal conjunction when H is a single clause.  Selecting every
     column is allowed and leaves no premises.
     """
-    indices = sorted({int(j) for j in hypothesis_indices})
+    indices = sorted({_column_index(j) for j in hypothesis_indices})
     if not indices:
         raise EmptyHypothesisError("the hypothesis side of a partition cannot be empty")
     width = 1 << generators.n
@@ -146,9 +146,9 @@ def verify_theorem(theorem: Theorem, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool
     The conclusion is taken at face value: whatever it asserts the
     negation of is conjoined with the premises and refuted by
     ``semantics.entails``, which covers the truth table with the
-    falsified-cube oracle, reading premises cut from a rectangle of
-    1024 columns or more from its closed form.  A tampered conclusion
-    therefore fails unless it happens to be entailed as well.
+    falsified-cube oracle, reading 1024 premises or more from their
+    ``masks`` (the cell rule, for a rectangle view).  A tampered
+    conclusion therefore fails unless it happens to be entailed as well.
     """
     return entails(
         theorem.premises, hypothesis_from_conclusion(theorem.conclusion), max_atoms

@@ -146,6 +146,27 @@ def test_remove_index_out_of_range():
         rect.column(-1)
 
 
+class Column:
+    """Not an int, but an integer index all the same."""
+
+    def __init__(self, j):
+        self.j = j
+
+    def __index__(self):
+        return self.j
+
+
+@pytest.mark.parametrize("bad", (1.5, 1.0, "1", None))
+def test_remove_refuses_column_indices_that_are_not_integers(bad):
+    # A float used to land in the view's drop set: len counted it while
+    # every column stayed, so the view held 4 clauses but claimed 3.
+    rect = construct_from_template(parse_generation_set("p,q"))
+    with pytest.raises(IndexOutOfRangeError):
+        remove_clauses(rect, [0, bad])
+    view = remove_clauses(rect, [Column(1), True])
+    assert view.drop == {1} and len(view) == len(tuple(view)) == 3
+
+
 def test_materialization_cap_for_both_routes():
     g = parse_generation_set("p, q, r")
     with pytest.raises(SizeCapError):

@@ -393,15 +393,17 @@ def test_closed_form_masks_equal_clause_route_masks(rng, data):
         )
         | st.frozensets(st.integers(0, width - 1))
     )
-    index = semantics._closed_form_index(rect, len(g))
-    got = list(semantics._closed_form_masks(rect, index, drop))
-    assert rect._clauses is None
     columns = remove_clauses(rect, drop)
-    atoms, want, _ = semantics._clause_masks(list(columns), len(g))
+    atoms, masks, firsts = columns.masks(len(g))
+    got = list(masks)
+    assert rect._clauses is None
+    assert list(masks) == got  # every pass reads the same masks
+    assert list(firsts) == ([0] if len(columns) == 1 else [])
+    want_atoms, want, _ = ClauseSet(list(columns)).masks(len(g))
     assert got == want
     assert len(got) == width - len(drop)
     if len(columns):
-        assert tuple(index) == atoms == collect_atoms(columns)
+        assert atoms == want_atoms == collect_atoms(columns)
 
 
 def fixed_drops(n, rng):
@@ -425,15 +427,15 @@ def test_closed_form_masks_equal_masks_of_the_doubling_columns(n, negate_all):
     g = mixed_generation_set(n, negate_all)
     rect = construct_from_template(g)
     columns = grid_clauses(construct_naive(g))
-    index = semantics._closed_form_index(rect, n)
     for drop in fixed_drops(n, random.Random(n)):
-        got = list(semantics._closed_form_masks(rect, index, drop))
+        atoms, masks, _ = remove_clauses(rect, drop).masks(n)
+        got = list(masks)
         kept = [c for j, c in enumerate(columns) if j not in drop]
-        atoms, want, _ = semantics._clause_masks(kept, n)
+        want_atoms, want, _ = ClauseSet(kept).masks(n)
         assert got == want, sorted(drop)
         assert len(got) == rect.width - len(drop)
         if kept:
-            assert atoms == tuple(index)
+            assert atoms == want_atoms == tuple(lit.atom for lit in g)
     assert rect._clauses is None
 
 
@@ -478,6 +480,38 @@ def test_entails_on_premises_under_the_cut_builds_the_clause_view():
         assert verify_theorem(fresh)
     spy.assert_not_called()
     assert fresh.premises.rect._clauses is None
+
+
+def test_entails_covers_a_plain_set_of_the_cut_s_size_from_its_masks():
+    # A plain clause set of at least the cut's number of premises is
+    # covered from its masks, and agrees with the Clause route.
+    g = mixed_generation_set(11)
+    rect = construct_from_template(g)
+    drop = (5, 700, 2047)
+    # Each clause lists its atoms bottom row first, so the premises
+    # number the atoms in the reverse of the generators' order.
+    plain = ClauseSet(Clause(c.literals[::-1]) for c in remove_clauses(rect, drop))
+    assert len(plain) >= semantics._CLOSED_FORM_MIN_WIDTH
+    dropped = [Clause(rect.column(j)) for j in drop]
+    # The last hypothesis is a view too: the premises have numbered its
+    # atoms already, so it reads its masks on the Clause route.
+    hypotheses = (ClauseSet(dropped), ClauseSet(dropped[1:]),
+                  remove_clauses(rect, set(range(rect.width)) - set(drop)))
+    with mock.patch.object(semantics, "is_satisfiable") as spy:
+        got = [entails(plain, h) for h in hypotheses]
+    spy.assert_not_called()
+    with closed_form_cut(len(plain) + 1):
+        assert got == [entails(plain, h) for h in hypotheses] == [True, False, True]
+
+
+def test_entails_takes_the_clause_route_for_fewer_premises_than_the_cut():
+    # The rectangle is as wide as the cut, but the premises number one less.
+    theorem = generate_theorem(mixed_generation_set(10))
+    assert theorem.premises.rect.width == semantics._CLOSED_FORM_MIN_WIDTH
+    with mock.patch.object(semantics, "is_satisfiable", wraps=semantics.is_satisfiable) as spy:
+        assert verify_theorem(theorem)
+    assert spy.call_count == 1
+    assert theorem.premises.rect._clauses is not None
 
 
 @pytest.mark.parametrize("cut", (semantics._CLOSED_FORM_MIN_WIDTH, 0))

@@ -88,6 +88,15 @@ def test_partition_index_bounds():
         generate_theorem_with_partition(g, (-1,))
 
 
+@pytest.mark.parametrize("bad", (1.7, 3.0, "3", None))
+def test_partition_refuses_column_indices_that_are_not_integers(bad):
+    # int() used to read 1.7 as column 1 and "3" as column 3.
+    g = parse_generation_set("p, q")
+    with pytest.raises(IndexOutOfRangeError):
+        generate_theorem_with_partition(g, (bad,))
+    assert generate_theorem_with_partition(g, (True,)).provenance.removed_indices == (1,)
+
+
 @pytest.mark.parametrize(
     "text",
     ["p", "p, q", "p, q, r", "p, ~q, r, s", "P1(a), ~P2(f(x)), P3(g(y,a))"],
