@@ -3,15 +3,20 @@
 Exit codes: 0 success, 2 input error, 3 resource cap exceeded, 4 a
 semantic check failed.  The RECT_ATG_MAX_N environment variable changes
 the default materialization cap; an explicit --max-n beats it.
+
+Options come from one table per command, not argparse (6 ms of each
+start): ``-x V``, ``-xV``, ``--long V``, ``--long=V`` and unique
+prefixes of ``--long``.  ``-h`` prints help; a usage error exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceededError, RectAtgError, TooManyAtomsError
@@ -56,94 +61,143 @@ def _indices(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated column indices, got {text!r}"
-        ) from None
+        raise ValueError(f"expected comma-separated column indices, got {text!r}") from None
 
 
-def _add_input_options(sub: argparse.ArgumentParser, with_record: bool = False) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("-l", "--literals", help="generation literals as inline text")
-    group.add_argument("-f", "--file", help="file containing the generation literals")
-    if with_record:
-        group.add_argument("--record", help="JSON theorem record to load")
-    sub.add_argument(
-        "--var-style",
-        choices=("upper", "lower"),
-        default="upper",
-        help="how bare identifiers inside terms are read: 'upper' treats a "
-        "leading uppercase letter as a variable, 'lower' treats u..z as variables",
-    )
-    sub.add_argument(
-        "--max-n",
-        type=int,
-        default=None,
-        help="materialization cap on the number of generation literals "
-        f"(default {DEFAULT_MAX_LEVEL}, or the RECT_ATG_MAX_N environment variable)",
-    )
+# One row per option: short and long spelling, how the value is read (a
+# function, a tuple of choices, or None for a flag), default and help.
+# Every table starts with _HELP; exactly one of the _SOURCES is given.
+_HELP = ("-h", "--help", None, None, "show this help message and exit")
+_SOURCES = ("--literals", "--file", "--record")
+_INPUT = (
+    _HELP, ("-l", "--literals", str, None, "generation literals as inline text"),
+    ("-f", "--file", str, None, "file containing the generation literals"),
+    (None, "--var-style", ("upper", "lower"), "upper", "how bare identifiers inside terms are "
+     "read: 'upper' treats a leading uppercase letter as a variable, 'lower' treats u..z as "
+     "variables"),
+    (None, "--max-n", int, None, "materialization cap on the number of generation literals "
+     f"(default {DEFAULT_MAX_LEVEL}, or the RECT_ATG_MAX_N environment variable)"))
+_MAX_ATOMS = (None, "--max-atoms", int, DEFAULT_CLI_MAX_ATOMS)
+_OPTIONS = {
+    "generate": ("derive a theorem from a generation set", (
+        *_INPUT,
+        ("-H", "--hypothesis", _indices, None, "comma-separated clause column indices to move "
+         "to the hypothesis side (default: 0, the generation clause)"),
+        ("-o", "--output", ("text", "tptp", "json"), "text",
+         "output format (default text: premises, then the turnstile line)"),
+        (None, "--verify", None, False,
+         "decide the entailment with the falsified-cube cover oracle before printing"),
+        (*_MAX_ATOMS, f"enumeration bound used by --verify (default {DEFAULT_CLI_MAX_ATOMS})"))),
+    "rectangle": ("print the rectangle itself", (
+        *_INPUT,
+        ("-o", "--output", ("matrix", "dimacs"), "matrix", "output format (default matrix)"))),
+    "check": ("run the contradiction and minimality checks", (
+        *_INPUT,
+        (None, "--record", str, None, "JSON theorem record to load"),
+        (*_MAX_ATOMS, "atom bound for the satisfiability oracle, which allocates 2^k bytes "
+         f"for k atoms (default {DEFAULT_CLI_MAX_ATOMS})"))),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rectatg",
-        description="Construct rectangular standard contradictions and "
-        "derive machine-checked theorems from them.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Reader:
+    """Reads a command line in argparse's order: an ambiguous prefix is
+    refused first, anything not understood last, other errors in place."""
 
-    gen = sub.add_parser("generate", help="derive a theorem from a generation set")
-    _add_input_options(gen)
-    gen.add_argument(
-        "-H",
-        "--hypothesis",
-        type=_indices,
-        default=None,
-        help="comma-separated clause column indices to move to the hypothesis "
-        "side (default: 0, the generation clause)",
-    )
-    gen.add_argument(
-        "-o",
-        "--output",
-        choices=("text", "tptp", "json"),
-        default="text",
-        help="output format (default text: premises, then the turnstile line)",
-    )
-    gen.add_argument(
-        "--verify",
-        action="store_true",
-        help="decide the entailment with the falsified-cube cover oracle "
-        "before printing",
-    )
-    gen.add_argument(
-        "--max-atoms",
-        type=int,
-        default=DEFAULT_CLI_MAX_ATOMS,
-        help=f"enumeration bound used by --verify (default {DEFAULT_CLI_MAX_ATOMS})",
-    )
+    def parse_args(self, argv: list[str] | None = None) -> SimpleNamespace:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        at = next((i for i, arg in enumerate(argv) if not _match(None, (_HELP,), arg)), len(argv))
+        unknown = _read(None, (_HELP,), argv[:at], {})
+        if at == len(argv):
+            _fail(None, "the following arguments are required: command")
+        command = argv[at]
+        if command not in _OPTIONS:
+            _fail(None, f"invalid command: {command!r} (choose from {', '.join(_OPTIONS)})")
+        rows, values = _OPTIONS[command][1], {}
+        unknown += _read(command, rows, argv[at + 1 :], values)
+        if not values.keys() & _SOURCES:
+            names = " ".join(_name(row) for row in rows if row[1] in _SOURCES)
+            _fail(command, f"one of the arguments {names} is required")
+        if unknown:
+            _fail(None, f"unrecognized arguments: {' '.join(unknown)}")
+        return SimpleNamespace(command=command, **{
+            row[1][2:].replace("-", "_"): values.get(row[1], row[3]) for row in rows[1:]})
 
-    rect = sub.add_parser("rectangle", help="print the rectangle itself")
-    _add_input_options(rect)
-    rect.add_argument(
-        "-o",
-        "--output",
-        choices=("matrix", "dimacs"),
-        default="matrix",
-        help="output format (default matrix)",
-    )
 
-    chk = sub.add_parser(
-        "check", help="run the contradiction and minimality checks"
-    )
-    _add_input_options(chk, with_record=True)
-    chk.add_argument(
-        "--max-atoms",
-        type=int,
-        default=DEFAULT_CLI_MAX_ATOMS,
-        help="atom bound for the satisfiability oracle, which allocates 2^k "
-        f"bytes for k atoms (default {DEFAULT_CLI_MAX_ATOMS})",
-    )
+def build_parser() -> _Reader:
+    return _Reader()
 
-    return parser
+
+def _read(command: str | None, rows: tuple, argv: list[str], values: dict) -> list[str]:
+    """Store ``argv``'s values by long spelling; return what is not understood."""
+    hits = [_match(command, rows, arg) for arg in argv]
+    unknown, i = [], 0
+    while i < len(argv):
+        (row, value), i = hits[i] or (None, None), i + 1
+        if row is None:
+            unknown.append(argv[i - 1])
+        elif row[2] is None:
+            if value is not None:
+                _fail(command, f"argument {_name(row)}: ignored explicit argument {value!r}")
+            if row is _HELP:
+                print("\n".join(_help(command)))
+                raise SystemExit(EXIT_OK)
+            values[row[1]] = True
+        else:
+            if value is None:
+                if i == len(argv) or hits[i]:
+                    _fail(command, f"argument {_name(row)}: expected one argument")
+                value, i = argv[i], i + 1
+            read, others = row[2], (values.keys() & _SOURCES) - {row[1]}
+            if isinstance(read, tuple) and value not in read:
+                _fail(command, f"argument {_name(row)}: invalid choice: {value!r} "
+                               f"(choose from {', '.join(map(repr, read))})")
+            try:
+                values[row[1]] = value if isinstance(read, tuple) else read(value)
+            except ValueError as exc:
+                _fail(command, f"argument {_name(row)}: {exc}")
+            if row[1] in _SOURCES and others:
+                _fail(command, f"argument {_name(row)}: not allowed with argument {others.pop()}")
+    return unknown
+
+
+def _match(command: str | None, rows: tuple, arg: str):
+    """None for what argparse reads as a value, else (row or None, attached value or None)."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, value = arg.partition("=") if arg[1] == "-" else (arg[:2], arg[2:], arg[2:])
+    found = [row for row in rows if name in row[:2]] or [
+        row for row in rows if row[1].startswith(name) and len(name) > 2]
+    if len(found) > 1:
+        _fail(command, f"ambiguous option: {name} could match {', '.join(r[1] for r in found)}")
+    if found or not (" " in arg or re.fullmatch(r"-\d+|-\d*\.\d+", arg)):
+        return (found[0] if found else None), (value if eq else None)
+    return None
+
+
+def _name(row: tuple) -> str:
+    return "/".join(filter(None, row[:2]))
+
+
+def _metavar(row: tuple) -> str:
+    shown = "{%s}" % ",".join(row[2]) if isinstance(row[2], tuple) else row[1][2:].upper()
+    return "" if row[2] is None else " " + shown
+
+
+def _help(command: str | None) -> list[str]:
+    """The lines of the help text; the first is the usage line."""
+    if command is None:
+        return [f"usage: rectatg [-h] {{{','.join(_OPTIONS)}}} ...", "", "Construct rectangular "
+                "standard contradictions and derive machine-checked theorems from them.", "",
+                "commands:", *(f"  {name:<11}{about}" for name, (about, _) in _OPTIONS.items())]
+    rows = _OPTIONS[command][1]
+    sources = " | ".join((row[0] or row[1]) + _metavar(row) for row in rows if row[1] in _SOURCES)
+    return [f"usage: rectatg {command} [-h] ({sources}) [options]", "", _OPTIONS[command][0], "",
+            "options:", *(f"  {_name(row)}{_metavar(row)}\n      {row[4]}" for row in rows)]
+
+
+def _fail(command: str | None, message: str) -> None:
+    sys.stderr.write(f"{_help(command)[0]}\nerror: {message}\n")
+    raise SystemExit(EXIT_INPUT)
 
 
 def _resolved_max_level(flag_value: int | None) -> int:
@@ -161,7 +215,7 @@ def _resolved_max_level(flag_value: int | None) -> int:
     return value
 
 
-def _load_generation_set(args: argparse.Namespace):
+def _load_generation_set(args: SimpleNamespace):
     if args.literals is not None:
         text = args.literals
     else:
@@ -287,7 +341,7 @@ def _discard(out) -> None:
         os.close(devnull)
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: SimpleNamespace) -> int:
     generators = _load_generation_set(args)
     if args.verify:
         _check_atom_bound(generators.n, args.max_atoms)
@@ -306,7 +360,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_rectangle(args: argparse.Namespace) -> int:
+def cmd_rectangle(args: SimpleNamespace) -> int:
     generators = _load_generation_set(args)
     rect = construct_from_template(generators, args.max_n)
     if args.output == "dimacs":
@@ -317,7 +371,7 @@ def cmd_rectangle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     if args.record is not None:
         record = read_record(Path(args.record).read_text(encoding="utf-8"))
         _check_atom_bound(len(record["generators"]), args.max_atoms)

@@ -321,8 +321,7 @@ def _utf8_clause_blocks(
 def _theorem_lines(theorem: Theorem) -> Iterator[bytes]:
     """Plain text lines: one premise per line, then the turnstile line."""
     for texts, tail in _utf8_clause_blocks(theorem.premises):
-        end = tail + b"\n"
-        yield end.join(texts) + end
+        yield (tail + b"\n").join([*texts, b""])
     yield f"⊢ {theorem.conclusion}\n".encode()
 
 
@@ -422,7 +421,9 @@ def _record_lines(theorem: Theorem) -> Iterator[bytes]:
     empty = True
     for texts, tail in _utf8_clause_blocks(theorem.premises, token):
         end = tail + b'"'
-        yield lead + (end + b',\n    "').join(texts) + end
+        parts = [lead + texts[0], *texts[1:]]
+        parts[-1] += end
+        yield (end + b',\n    "').join(parts)
         lead, empty = b',\n    "', False
     conclusion = encode_basestring(str(theorem.conclusion))
     last = ('  "premises": [],\n' if empty else "\n  ],\n") + f'  "conclusion": {conclusion}\n}}\n'

@@ -32,14 +32,14 @@ class _Value:
 
     A subclass lists its fields in ``__slots__`` and stores them in its
     ``__init__`` with ``_set``.  Two values are equal when they are of
-    the same class with equal fields; the hash is the hash of the field
-    tuple and the repr reads ``Prop(name='p')``.  Positional patterns
-    match the fields in order.  Fields cannot be assigned or deleted,
-    and pickle and ``copy`` rebuild a value by calling its class with
-    the fields in order.
+    the same class with equal fields; the hash is the field tuple's,
+    computed once and kept in ``_hash``, a slot that is not a field.
+    The repr reads ``Prop(name='p')``, positional patterns match the
+    fields in order, fields cannot be assigned or deleted, and pickle
+    and ``copy`` rebuild a value by calling its class with the fields.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __init_subclass__(cls):
         get = attrgetter(*cls.__slots__)
@@ -53,7 +53,11 @@ class _Value:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields(self))
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash(self._fields(self)))
+            return self._hash
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -11,6 +11,7 @@ values.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import random
@@ -36,6 +37,7 @@ from rectatg import (
     negate_literal,
     parse_literal,
 )
+from rectatg.cli import DEFAULT_CLI_MAX_ATOMS, _indices
 from rectatg.export import _conjecture_formula, _literal_to_json, _tptp_literal
 
 # GenerationSet checks its own invariants; tests keep the older name.
@@ -321,3 +323,90 @@ def random_clause_set(rng: random.Random, max_atoms: int = 4, max_clauses: int =
             )
         )
     return ClauseSet(clauses)
+
+
+# The command line as argparse declared it before the CLI read its
+# options from tables: the reference the option reader must agree with.
+def _add_input_options(sub: argparse.ArgumentParser, with_record: bool = False) -> None:
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("-l", "--literals", help="generation literals as inline text")
+    group.add_argument("-f", "--file", help="file containing the generation literals")
+    if with_record:
+        group.add_argument("--record", help="JSON theorem record to load")
+    sub.add_argument(
+        "--var-style",
+        choices=("upper", "lower"),
+        default="upper",
+        help="how bare identifiers inside terms are read: 'upper' treats a "
+        "leading uppercase letter as a variable, 'lower' treats u..z as variables",
+    )
+    sub.add_argument(
+        "--max-n",
+        type=int,
+        default=None,
+        help="materialization cap on the number of generation literals "
+        f"(default {DEFAULT_MAX_LEVEL}, or the RECT_ATG_MAX_N environment variable)",
+    )
+
+
+def argparse_reference() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rectatg",
+        description="Construct rectangular standard contradictions and "
+        "derive machine-checked theorems from them.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    gen = sub.add_parser("generate", help="derive a theorem from a generation set")
+    _add_input_options(gen)
+    gen.add_argument(
+        "-H",
+        "--hypothesis",
+        type=_indices,
+        default=None,
+        help="comma-separated clause column indices to move to the hypothesis "
+        "side (default: 0, the generation clause)",
+    )
+    gen.add_argument(
+        "-o",
+        "--output",
+        choices=("text", "tptp", "json"),
+        default="text",
+        help="output format (default text: premises, then the turnstile line)",
+    )
+    gen.add_argument(
+        "--verify",
+        action="store_true",
+        help="decide the entailment with the falsified-cube cover oracle "
+        "before printing",
+    )
+    gen.add_argument(
+        "--max-atoms",
+        type=int,
+        default=DEFAULT_CLI_MAX_ATOMS,
+        help=f"enumeration bound used by --verify (default {DEFAULT_CLI_MAX_ATOMS})",
+    )
+
+    rect = sub.add_parser("rectangle", help="print the rectangle itself")
+    _add_input_options(rect)
+    rect.add_argument(
+        "-o",
+        "--output",
+        choices=("matrix", "dimacs"),
+        default="matrix",
+        help="output format (default matrix)",
+    )
+
+    chk = sub.add_parser(
+        "check", help="run the contradiction and minimality checks"
+    )
+    _add_input_options(chk, with_record=True)
+    chk.add_argument(
+        "--max-atoms",
+        type=int,
+        default=DEFAULT_CLI_MAX_ATOMS,
+        help="atom bound for the satisfiability oracle, which allocates 2^k "
+        f"bytes for k atoms (default {DEFAULT_CLI_MAX_ATOMS})",
+    )
+
+    return parser

@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rectatg
@@ -36,6 +36,7 @@ from rectatg.cli import main
 from rectatg.parser import MAX_NESTING
 
 from conftest import (
+    argparse_reference,
     construct_naive,
     dimacs_reference,
     first_difference,
@@ -351,7 +352,7 @@ def test_out_of_range_hypothesis_is_an_input_error(capsys):
     assert "7" in err
 
 
-def test_nonnumeric_hypothesis_is_rejected_by_argparse(capsys):
+def test_nonnumeric_hypothesis_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "-l", "p", "-H", "one"])
     assert exc.value.code == 2
@@ -884,7 +885,7 @@ def test_any_literal_text_exits_with_a_documented_code(command, style, text):
         try:
             code = main(argv)
         except SystemExit as exc:
-            # argparse turns away text it reads as an option.
+            # The option reader turns away text it reads as an option.
             code = exc.code
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
@@ -952,19 +953,132 @@ def test_any_record_file_exits_with_a_documented_code(tmp_path_factory, data):
     assert _exit_code(argv) in (0, 2, 3, 4)
 
 
-@pytest.mark.parametrize("output, loaded", (("text", set()), ("json", {"json"})))
-def test_startup_imports_neither_dataclasses_inspect_nor_json(output, loaded):
-    # Without site, so that nothing but rectatg and argparse loads modules.
+@pytest.mark.parametrize(
+    "args, code, loaded",
+    (
+        # The first two ids are those the suite gave these runs before.
+        pytest.param(("generate", "-l", "p", "-o", "text"), 0, set(), id="text-loaded0"),
+        pytest.param(("generate", "-l", "p", "-o", "json"), 0, {"json"}, id="json-loaded1"),
+        pytest.param(("rectangle", "-l", "p, q"), 0, set(), id="rectangle"),
+        pytest.param(("check", "-l", "p, q"), 0, set(), id="check"),
+        pytest.param(("generate", "-h"), 0, set(), id="help"),
+        pytest.param(("check", "-l", "p", "--max-n", "x"), 2, set(), id="usage-error"),
+    ),
+)
+def test_startup_imports_neither_dataclasses_inspect_nor_json(args, code, loaded):
+    # Without site, so that nothing but rectatg loads modules.  Reading
+    # options must not load argparse, or the gettext and locale it imports.
     probe = (
         "import sys\n"
         "from rectatg.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(sorted({'dataclasses', 'inspect', 'json'} & sys.modules.keys()))\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "names = {'dataclasses', 'inspect', 'json', 'argparse', 'gettext', 'locale'}\n"
+        "print(sorted(names & sys.modules.keys()))\n"
         "sys.exit(code)\n"
     )
-    argv = [sys.executable, "-S", "-c", probe, "generate", "-l", "p", "-o", output]
+    argv = [sys.executable, "-S", "-c", probe, *args]
     done = subprocess.run(
         argv, capture_output=True, text=True, env=_child_env(True), timeout=60
     )
-    assert (done.returncode, done.stderr) == (0, "")
+    assert done.returncode == code
+    assert (done.stderr == "") == (code == 0)
     assert done.stdout.splitlines()[-1] == str(sorted(loaded))
+
+
+# The command-line grammar the option reader shares with argparse: every
+# documented spelling (-x V, -xV, --long V, --long=V, unique and ambiguous
+# prefixes of --long), in any order and with repeats; input sources, none,
+# one or two; options of the other commands, bad choices and integers;
+# and now and then -h, an unknown option, a stray word or a missing value.
+# Values that start with "-" and the single-dash "-x=V" are left out:
+# argparse reads them differently from 3.10 to 3.13.
+_PARITY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6).filter(
+    lambda text: not text.startswith("-")
+)
+_PARITY_INT = st.sampled_from(("3", "24", " 7 ", "+2", "1_0", "٣", "0", "x", "", "3.5"))
+_PARITY_SOURCES = (
+    ("-l", "--literals", _PARITY_TEXT),
+    ("-f", "--file", _PARITY_TEXT),
+    (None, "--record", _PARITY_TEXT),
+)
+_PARITY_OPTIONS = (
+    (None, "--var-style", st.sampled_from(("upper", "lower", "UPPER"))),
+    (None, "--max-n", _PARITY_INT),
+    (None, "--max-atoms", _PARITY_INT),
+    ("-H", "--hypothesis", st.sampled_from(("0", "1,0", " 2 , 3", "", ",", "one"))),
+    ("-o", "--output", st.sampled_from(("text", "tptp", "json", "matrix", "dimacs", "xml"))),
+)
+
+
+def _long_spelling(long: str):
+    # The whole name, or a prefix of it with at least one letter.
+    return st.just(long) | st.integers(3, len(long)).map(lambda k: long[:k])
+
+
+def _value_option(short, long, values):
+    forms = [
+        st.tuples(_long_spelling(long), values).map(list),
+        st.tuples(_long_spelling(long), values).map(lambda t: [f"{t[0]}={t[1]}"]),
+    ]
+    if short is not None:
+        forms += [values.map(lambda v: [short, v]), values.filter(bool).map(lambda v: [short + v])]
+    return st.one_of(forms)
+
+
+_PARITY_SOURCE = st.one_of(*(_value_option(*source) for source in _PARITY_SOURCES))
+_PARITY_TOKEN = st.one_of(
+    *(_value_option(*option) for option in _PARITY_OPTIONS),
+    _long_spelling("--verify").map(lambda name: [name]),
+)
+# -H and --help share the prefix --h in generate; -l and --max-n alone
+# miss their value at the end or before an option.
+_PARITY_NOISE = st.sampled_from(
+    (["-h"], ["--help"], ["--he"], ["--h"], ["-x"], ["--bogus"], ["stray"], ["-Z5"], ["-l"],
+     ["--max-n"])
+)
+
+
+def _parse_outcome(parser, argv):
+    """The parsed namespace's fields, or the exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+_REFERENCE_PARSER = argparse_reference()
+
+
+@settings(max_examples=1500, deadline=None)
+@given(
+    st.sampled_from(([],) * 12 + (["-h"], ["--he"], ["-x"], ["--bogus"])),
+    st.sampled_from((["generate"], ["rectangle"], ["check"]) * 3 + (["bogus"], [])),
+    st.sampled_from((1,) * 6 + (0, 2)).flatmap(
+        lambda k: st.lists(_PARITY_SOURCE, min_size=k, max_size=k)
+    ),
+    st.lists(_PARITY_TOKEN, max_size=5),
+    st.lists(st.tuples(st.integers(0, 7), _PARITY_NOISE), max_size=1),
+    st.randoms(use_true_random=False),
+)
+@example([], [], [], [], [], None)
+@example([], ["generate"], [], [["--max", "3"]], [(0, ["-h"])], None)
+@example([], ["generate"], [], [], [(0, ["-x"]), (1, ["-h"])], None)
+@example([], ["generate"], [["-lp"]], [["-H1,0"], ["--out=json"], ["--ver"], ["--max-a", "5"]], [],
+         None)
+@example([], ["check"], [["--rec", "r"], ["-lp"]], [], [], None)
+@example([], ["check"], [["-f", "g"], ["-f", "h"]], [["--max-n", "9"]], [], None)
+@example(["--bogus"], ["rectangle"], [["-l", "p"]], [["-o", "dimacs"]], [], None)
+@example([], ["rectangle"], [], [["--h= 2 , 3"]], [(1, ["--h"]), (2, ["0"])], None)
+def test_option_reader_agrees_with_argparse(before, command, sources, tokens, noise, rng):
+    tokens += sources
+    if rng is not None:
+        rng.shuffle(tokens)
+    for at, token in noise:
+        tokens.insert(at, token)
+    argv = [*before, *command, *(word for token in tokens for word in token)]
+    got = _parse_outcome(cli.build_parser(), argv)
+    assert got == _parse_outcome(_REFERENCE_PARSER, argv)
