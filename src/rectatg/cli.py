@@ -35,7 +35,7 @@ from .export import (
     render_theorem,
     save_record,
 )
-from .parser import parse_generation_set
+from .parser import VAR_STYLES, parse_generation_set
 from .rectangle import construct_from_template
 from .semantics import _CLOSED_FORM_MIN_WIDTH, check_minimality
 from .template import DEFAULT_MAX_LEVEL
@@ -72,7 +72,7 @@ _SOURCES = ("--literals", "--file", "--record")
 _INPUT = (
     _HELP, ("-l", "--literals", str, None, "generation literals as inline text"),
     ("-f", "--file", str, None, "file containing the generation literals"),
-    (None, "--var-style", ("upper", "lower"), "upper", "how bare identifiers inside terms are "
+    (None, "--var-style", VAR_STYLES, VAR_STYLES[0], "how bare identifiers inside terms are "
      "read: 'upper' treats a leading uppercase letter as a variable, 'lower' treats u..z as "
      "variables"),
     (None, "--max-n", int, None, "materialization cap on the number of generation literals "
@@ -201,17 +201,18 @@ def _fail(command: str | None, message: str) -> None:
 
 
 def _resolved_max_level(flag_value: int | None) -> int:
-    value = flag_value
+    value, source = flag_value, "--max-n"
     if value is None:
-        raw = os.environ.get("RECT_ATG_MAX_N")
+        source = "RECT_ATG_MAX_N"
+        raw = os.environ.get(source)
         if raw is None:
             return DEFAULT_MAX_LEVEL
         try:
             value = int(raw)
         except ValueError:
-            raise ValueError(f"RECT_ATG_MAX_N must be an integer, got {raw!r}") from None
+            raise ValueError(f"{source} must be an integer, got {raw!r}") from None
     if value < 1:
-        raise ValueError("--max-n must be at least 1")
+        raise ValueError(f"{source} must be at least 1")
     return value
 
 

@@ -98,7 +98,8 @@ class TooManyAtomsError(CapExceededError):
 
 
 class ProductTooLargeError(CapExceededError):
-    """The one-literal-per-clause product is too large to enumerate."""
+    """The one-literal-per-clause product is too large to enumerate;
+    ``size`` is the first partial product past the bound."""
 
     def __init__(self, size: int, bound: int):
         self.size = size

@@ -43,6 +43,8 @@ from .errors import (
     UnnumberedAtomError,
 )
 from .logic import (
+    BOX_TEXT,
+    OR_TEXT,
     Atom,
     ClauseSet,
     Constant,
@@ -67,10 +69,8 @@ SCHEMA_VERSION = 1
 
 _TPTP_LOWER_WORD = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
-# A clause's literal separator and the empty clause, in text and in the
-# UTF-8 the writers yield.
-_OR, _BOX = " ∨ ", "□"
-_OR_UTF8, _BOX_UTF8 = _OR.encode(), _BOX.encode()
+# Clause.__str__'s separator and empty clause in the UTF-8 the writers yield.
+_OR_UTF8, _BOX_UTF8 = OR_TEXT.encode(), BOX_TEXT.encode()
 
 
 class AtomNumbering:
@@ -300,8 +300,8 @@ def export_tptp(theorem: Theorem) -> str:
 def _clause_blocks(
     clause_set: ClauseSet,
     token: Callable[[Literal], AnyStr] = str,
-    sep: AnyStr = _OR,
-    box: AnyStr = _BOX,
+    sep: AnyStr = OR_TEXT,
+    box: AnyStr = BOX_TEXT,
 ) -> Iterator[tuple[list[AnyStr], AnyStr]]:
     """``clause_set.blocks`` of the clauses' ``str``, literals rendered by
     ``token`` and joined by ``sep``, without building the clauses of a
@@ -413,8 +413,8 @@ def _record_lines(theorem: Theorem) -> Iterator[bytes]:
 
     def token(lit: Literal) -> str:
         # JSON escapes a string one character at a time, so a clause's
-        # escaped text is its escaped literals joined by " ∨ ", and □
-        # and " ∨ " need no escaping.
+        # escaped text is its escaped literals joined by OR_TEXT, and
+        # OR_TEXT and BOX_TEXT need no escaping.
         return encode_basestring(str(lit))[1:-1]
 
     lead = b'  "premises": [\n    "'

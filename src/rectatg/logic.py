@@ -14,7 +14,10 @@ from typing import AnyStr, Callable, Collection, Iterable, Iterator, Union
 
 from .errors import EmptyClauseError, TooManyAtomsError
 
-_SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# The grammar's ``ident``: the parser reads names with it, and a value
+# holds no other name, so every value renders as text the parser reads.
+IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_SYMBOL_RE = re.compile(IDENT + r"\Z")
 
 # Field stores for the __init__ of a _Value, which refuses plain assignment.
 _set = object.__setattr__
@@ -182,6 +185,10 @@ def complementary(a: Literal, b: Literal) -> bool:
     return a.atom == b.atom and a.negated != b.negated
 
 
+# How Clause.__str__ joins literals and renders the empty clause.
+OR_TEXT, BOX_TEXT = " ∨ ", "□"
+
+
 class Clause:
     """Disjunction of literals.
 
@@ -217,8 +224,8 @@ class Clause:
 
     def __str__(self) -> str:
         if not self.literals:
-            return "□"
-        return " ∨ ".join(str(l) for l in self.literals)
+            return BOX_TEXT
+        return OR_TEXT.join(str(l) for l in self.literals)
 
     def __repr__(self) -> str:
         return f"Clause({str(self)})"

@@ -30,36 +30,26 @@ import re
 from typing import Iterable, Iterator
 
 from .errors import DuplicatePredicateError, EmptySetError, ParseError
-from .logic import Constant, Function, Literal, Pred, Prop, Term, Variable, _set, _Value
+from .logic import IDENT, Constant, Function, Literal, Pred, Prop, Term, Variable, _set, _Value
 
 VAR_STYLES = ("upper", "lower")
 MAX_NESTING = 100
 _LOWER_STYLE_VARIABLES = "uvwxyz"
 
+# Each group is named by the kind of token it reads.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<newline>\n)
-      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<neg>[~¬])
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<comma>,)
-      | (?P<semi>;)
-      | (?P<eq>=)
+    rf"""(?P<WS>[ \t\r]+)
+      | (?P<NEWLINE>\n)
+      | (?P<IDENT>{IDENT})
+      | (?P<NEG>[~¬])
+      | (?P<LPAREN>\()
+      | (?P<RPAREN>\))
+      | (?P<COMMA>,)
+      | (?P<SEMI>;)
+      | (?P<EQ>=)
     """,
     re.VERBOSE,
 )
-
-_KIND_NAMES = {
-    "ident": "IDENT",
-    "neg": "NEG",
-    "lparen": "LPAREN",
-    "rparen": "RPAREN",
-    "comma": "COMMA",
-    "semi": "SEMI",
-    "newline": "NEWLINE",
-    "eq": "EQ",
-}
 
 _SEPARATORS = frozenset({"COMMA", "SEMI", "NEWLINE"})
 
@@ -81,8 +71,8 @@ def _tokenize(text: str, keep_newlines: bool) -> list[_Token]:
         if m is None:
             raise ParseError(pos, "a literal token", text[pos])
         kind = m.lastgroup
-        if kind != "ws" and (kind != "newline" or keep_newlines):
-            tokens.append(_Token(_KIND_NAMES[kind], m.group(), pos))
+        if kind != "WS" and (kind != "NEWLINE" or keep_newlines):
+            tokens.append(_Token(kind, m.group(), pos))
         pos = m.end()
     tokens.append(_Token("END", "", len(text)))
     return tokens

@@ -73,8 +73,7 @@ class Rectangle:
         return self._clauses
 
     def column(self, j: int) -> tuple[Literal, ...]:
-        if not 0 <= j < self.width:
-            raise IndexOutOfRangeError(f"column {j} not in 0..{self.width - 1}")
+        (j,) = _columns((j,), self.width)
         # Bit i of j picks row i's polarity: the complement when set.
         return tuple(pair[(j >> i) & 1] for i, pair in enumerate(self._signs))
 
@@ -265,13 +264,22 @@ def construct_from_template(
     return Rectangle(generators)
 
 
-def _column_index(j) -> int:
-    """j read through ``operator.index``; a float or a str is an
+def _columns(indices: Iterable[int], width: int) -> list[int]:
+    """The distinct column indices, ascending.  Each must be an integer,
+    as ``operator.index`` reads it, in ``0..width-1``: the first
+    non-integer given, else the smallest index out of range, is an
     IndexOutOfRangeError."""
-    try:
-        return operator.index(j)
-    except TypeError:
-        raise IndexOutOfRangeError(f"column {j!r} is not an integer") from None
+    columns = set()
+    for j in indices:
+        try:
+            columns.add(operator.index(j))
+        except TypeError:
+            raise IndexOutOfRangeError(f"column {j!r} is not an integer") from None
+    columns = sorted(columns)
+    if columns and (columns[0] < 0 or columns[-1] >= width):
+        bad = next(j for j in columns if not 0 <= j < width)
+        raise IndexOutOfRangeError(f"column {bad} not in 0..{width - 1}")
+    return columns
 
 
 def remove_clauses(rect: Rectangle, indices: Iterable[int]) -> ClauseSet:
@@ -279,12 +287,7 @@ def remove_clauses(rect: Rectangle, indices: Iterable[int]) -> ClauseSet:
 
     Remaining clauses keep their original order.  Removing every column
     yields the empty clause set.  The result is a view of the rectangle:
-    its clauses are built when it is first iterated.  Each index must be
-    an integer, as ``operator.index`` reads it, in ``0..width-1``.
+    its clauses are built when it is first iterated.  The indices are
+    checked by ``_columns``.
     """
-    drop = frozenset(map(_column_index, indices))
-    width = rect.width
-    for j in drop:
-        if not 0 <= j < width:
-            raise IndexOutOfRangeError(f"column {j} not in 0..{width - 1}")
-    return ColumnSet(rect, drop)
+    return ColumnSet(rect, frozenset(_columns(indices, rect.width)))

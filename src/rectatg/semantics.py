@@ -151,7 +151,8 @@ def is_standard_contradiction(
     (every completion inherits the pair), and repeated (position, pinned
     polarities) states are memoized, so the traversal is exact but never
     revisits decided subtrees.  The product-size bound is a guard against
-    hopeless inputs, not a step count.
+    hopeless inputs, not a step count; it stops at the first partial
+    product past the bound, as the whole one can have millions of bits.
     """
     clauses = tuple(clause_set)
     if any(len(c) == 0 for c in clauses):
@@ -161,8 +162,8 @@ def is_standard_contradiction(
     size = 1
     for c in clauses:
         size *= len(c)
-    if size > max_product:
-        raise ProductTooLargeError(size, max_product)
+        if size > max_product:
+            raise ProductTooLargeError(size, max_product)
 
     # Unit clauses leave no choice; pin them first.  A clash among the
     # pinned literals already puts a complementary pair in every tuple.

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import EmptyHypothesisError, IndexOutOfRangeError
+from .errors import EmptyHypothesisError
 from .logic import Clause, ClauseSet, Literal, _set, _Value, negate_clause, negate_literal
 from .parser import GenerationSet
-from .rectangle import _column_index, construct_from_template, remove_clauses
+from .rectangle import _columns, construct_from_template, remove_clauses
 from .semantics import DEFAULT_MAX_ATOMS, entails
 from .template import DEFAULT_MAX_LEVEL
 
@@ -106,13 +106,9 @@ def generate_theorem_with_partition(
     a literal conjunction when H is a single clause.  Selecting every
     column is allowed and leaves no premises.
     """
-    indices = sorted({_column_index(j) for j in hypothesis_indices})
+    indices = _columns(hypothesis_indices, 1 << generators.n)
     if not indices:
         raise EmptyHypothesisError("the hypothesis side of a partition cannot be empty")
-    width = 1 << generators.n
-    for j in indices:
-        if not 0 <= j < width:
-            raise IndexOutOfRangeError(f"column {j} not in 0..{width - 1}")
     rect = construct_from_template(generators, max_level)
     hypothesis = tuple(Clause(rect.column(j)) for j in indices)
     premises = remove_clauses(rect, indices)

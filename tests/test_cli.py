@@ -222,6 +222,20 @@ def test_verify_refuses_too_many_atoms_before_building(capsys, monkeypatch):
     assert "21" in err and "20" in err
 
 
+@pytest.mark.parametrize(
+    "literals, name, bad", (("zz, q", "zz", "9_"), ("P(Zz), q", "Zz", "_x")), ids=("prop", "var")
+)
+def test_record_naming_outside_the_grammar_is_an_input_error(capsys, tmp_path, literals, name, bad):
+    # Consistent but for the name: it would print "⊢ ¬9_ ∧ ¬q", which
+    # cannot be read back, or bind the TPTP variable "_x".
+    code, out, _ = run(capsys, "generate", "-l", literals, "-o", "json")
+    record = tmp_path / "bad.json"
+    record.write_text(out.replace(name, bad), encoding="utf-8")
+    code, out, err = run(capsys, "check", "--record", str(record))
+    assert (code, out) == (2, "")
+    assert f"bad symbol name: {bad!r}" in err
+
+
 @pytest.mark.parametrize("removed", ([0.7], [False], ["0"], "0"))
 def test_ill_typed_removed_indices_are_rejected(capsys, tmp_path, removed):
     data = json.loads(save_record(generate_theorem(parse_generation_set("p, q"))))
@@ -338,6 +352,17 @@ def test_bad_env_value_is_an_input_error(capsys, monkeypatch):
     code, _, err = run(capsys, "generate", "-l", "p")
     assert code == 2
     assert "RECT_ATG_MAX_N" in err
+
+
+@pytest.mark.parametrize(
+    "env, flag, source",
+    (("0", None, "RECT_ATG_MAX_N"), ("4", "0", "--max-n"), (None, "-1", "--max-n")),
+)
+def test_a_cap_below_one_names_where_it_came_from(capsys, monkeypatch, env, flag, source):
+    if env is not None:
+        monkeypatch.setenv("RECT_ATG_MAX_N", env)
+    code, out, err = run(capsys, "rectangle", "-l", "p", *(("--max-n", flag) if flag else ()))
+    assert (code, out, err) == (2, "", f"error: {source} must be at least 1\n")
 
 
 def test_empty_hypothesis_is_an_input_error(capsys):

@@ -135,6 +135,17 @@ def test_equality_predicate_requires_arity_two():
         Pred("=", ())
 
 
+@pytest.mark.parametrize(
+    "make, args",
+    ((Prop, ("9_",)), (Constant, ("_a",)), (Variable, ("_x",)), (Prop, ("a-b",)),
+     (Pred, ("_P",)), (Function, ("1f", (Constant("a"),)))),
+    ids=("Prop-9_", "Constant-_a", "Variable-_x", "Prop-a-b", "Pred-_P", "Function-1f"),
+)
+def test_names_outside_the_identifier_grammar_are_refused(make, args):
+    with pytest.raises(ValueError, match="bad symbol name"):
+        make(*args)
+
+
 def test_function_requires_arguments():
     with pytest.raises(ValueError):
         Function("f", ())

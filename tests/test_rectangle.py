@@ -146,6 +146,27 @@ def test_remove_index_out_of_range():
         rect.column(-1)
 
 
+@pytest.mark.parametrize(
+    "indices, error",
+    (([9, 7], "column 7 not in 0..3"), ([-2, 9, -1], "column -2 not in 0..3"),
+     (["3"], "column '3' is not an integer"), ([1.5], "column 1.5 is not an integer"),
+     ([9, "3", 1.5], "column '3' is not an integer")),
+)
+def test_every_entry_point_names_the_same_bad_column(indices, error):
+    g = parse_generation_set("p,q")
+    rect = construct_from_template(g)
+    calls = [lambda: remove_clauses(rect, indices),
+             lambda: generate_theorem_with_partition(g, indices),
+             # Index errors come before the level cap.
+             lambda: generate_theorem_with_partition(g, indices, max_level=1)]
+    if len(indices) == 1:
+        calls.append(lambda: rect.column(indices[0]))
+    for call in calls:
+        with pytest.raises(IndexOutOfRangeError) as info:
+            call()
+        assert str(info.value) == error
+
+
 class Column:
     """Not an int, but an integer index all the same."""
 

@@ -142,6 +142,11 @@ def test_product_bound():
     with pytest.raises(ProductTooLargeError) as info:
         is_standard_contradiction(wide)
     assert info.value.size == 2**24
+    # The guard stops at the first partial product past the bound: the
+    # whole product at n=12, 12^4096, is too long for the message.
+    rect = rect_for(", ".join(f"p{i}" for i in range(12)))
+    with pytest.raises(ProductTooLargeError, match=f"product of clause widths {12**7} "):
+        is_standard_contradiction(rect.clause_set())
     with pytest.raises(ProductTooLargeError):
         is_standard_contradiction(rect_for("p,q").clause_set(), max_product=8)
     assert is_standard_contradiction(rect_for("p,q").clause_set(), max_product=16)
