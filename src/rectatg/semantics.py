@@ -8,9 +8,9 @@ never share a predicate symbol.
 Two oracles live here on purpose and must not be merged:
 
 * ``is_satisfiable`` covers the truth table over the distinct atoms;
-* ``is_standard_contradiction`` decides the product definition, asking
-  whether every one-literal-per-clause selection contains a
-  complementary pair.
+* ``is_standard_contradiction`` splits on literals (Davis, Logemann &
+  Loveland 1962) in search of a one-literal-per-clause selection
+  without a complementary pair.
 
 That the second implies UNSAT on the first is a theorem the test suite
 checks, not an identity the code assumes.
@@ -32,6 +32,7 @@ rule without building a Clause.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from itertools import chain
 from operator import eq
@@ -146,64 +147,59 @@ def is_standard_contradiction(
 ) -> bool:
     """Product definition: every one-per-clause literal tuple has a clash.
 
-    Decided by depth-first traversal of the selection product.  A branch
-    whose partial selection already contains a complementary pair is cut
-    (every completion inherits the pair), and repeated (position, pinned
-    polarities) states are memoized, so the traversal is exact but never
-    revisits decided subtrees.  The product-size bound is a guard against
-    hopeless inputs, not a step count; it stops at the first partial
+    A tuple without one is a clash-free selection, and ``_clash_free``
+    searches the clauses' masks for one by the split rule of Davis,
+    Logemann & Loveland (1962): split on a literal l of a shortest open
+    clause, pinning l or ¬l.  The split is exact, because a clash-free
+    selection that avoids l can take ¬l wherever ¬l occurs.
+
+    The product-size bound is a guard against hopeless inputs, not a
+    step count.  It multiplies the clause widths in clause order, a
+    repeated literal counting each time, and stops at the first partial
     product past the bound, as the whole one can have millions of bits.
+    The widths come from ``clause_set.blocks`` at one byte per literal,
+    so refusing a rectangle view builds no Clause.
     """
-    clauses = tuple(clause_set)
-    if any(len(c) == 0 for c in clauses):
+    blocks = list(clause_set.blocks(lambda lit: b".", b""))
+    if any(not tail and b"" in texts for texts, tail in blocks):
         # Nothing can be selected from an empty clause, so the product
         # is empty and the condition holds vacuously.
         return True
     size = 1
-    for c in clauses:
-        size *= len(c)
-        if size > max_product:
-            raise ProductTooLargeError(size, max_product)
+    for texts, tail in blocks:
+        for text in texts:
+            size *= len(text) + len(tail)
+            if size > max_product:
+                raise ProductTooLargeError(size, max_product)
+    # The guard bounds the work, so the masks take no atom cap.
+    return not _clash_free(clause_set.masks(sys.maxsize)[1], 0, 0)
 
-    # Unit clauses leave no choice; pin them first.  A clash among the
-    # pinned literals already puts a complementary pair in every tuple.
-    pinned: dict[Atom, bool] = {}
-    rest = []
-    for c in clauses:
-        if len(c) == 1:
-            lit = c.literals[0]
-            have = pinned.get(lit.atom)
-            if have is None:
-                pinned[lit.atom] = lit.negated
-            elif have != lit.negated:
-                return True
-        else:
-            rest.append(c)
 
-    memo: dict[tuple[int, frozenset], bool] = {}
-
-    def clash_free_completion(i: int) -> bool:
-        if i == len(rest):
-            return True
-        key = (i, frozenset(pinned.items()))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        found = False
-        for lit in rest[i]:
-            have = pinned.get(lit.atom)
-            if have is None:
-                pinned[lit.atom] = lit.negated
-                found = clash_free_completion(i + 1)
-                del pinned[lit.atom]
-            elif have == lit.negated:
-                found = clash_free_completion(i + 1)
-            if found:
-                break
-        memo[key] = found
-        return found
-
-    return not clash_free_completion(0)
+def _clash_free(clauses: Iterable[tuple[int, int]], pos: int, neg: int) -> bool:
+    """Whether a clash-free selection from the ``(pos, neg)`` clause masks
+    holds the pinned literals: the atoms in ``pos`` positive, in ``neg``
+    negated.  Unit clauses are pinned in a loop, not by recursion."""
+    pinning = True
+    while pinning:
+        pinning, open_ = False, []
+        for p, q in clauses:
+            if p & pos or q & neg:
+                continue  # a pinned literal serves this clause
+            # Its selectable literals: those no pinned literal clashes with.
+            p, q = p & ~neg, q & ~pos
+            width = p.bit_count() + q.bit_count()
+            if width > 1:
+                open_.append((p, q))
+            elif width:
+                pos, neg, pinning = pos | p, neg | q, True
+            else:
+                return False  # no literal left to select
+        clauses = open_
+    if not clauses:
+        return True
+    p, q = min(clauses, key=lambda c: c[0].bit_count() + c[1].bit_count())
+    atom = (p | q) & -(p | q)  # a literal's atom: split on pinning it either way
+    return _clash_free(clauses, pos | atom, neg) or _clash_free(clauses, pos, neg | atom)
 
 
 class Removals(Sequence):

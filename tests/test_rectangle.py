@@ -150,7 +150,11 @@ def test_remove_index_out_of_range():
     "indices, error",
     (([9, 7], "column 7 not in 0..3"), ([-2, 9, -1], "column -2 not in 0..3"),
      (["3"], "column '3' is not an integer"), ([1.5], "column 1.5 is not an integer"),
-     ([9, "3", 1.5], "column '3' is not an integer")),
+     ([9, "3", 1.5], "column '3' is not an integer"),
+     # Too long to print: named by a power of two, not CPython's
+     # int-to-str ValueError.
+     ([10**5000], "column ≥ 2**16609 not in 0..3"),
+     ([2, -10**5000], "column ≤ -2**16609 not in 0..3")),
 )
 def test_every_entry_point_names_the_same_bad_column(indices, error):
     g = parse_generation_set("p,q")

@@ -5,7 +5,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rectatg import (
@@ -168,6 +168,80 @@ def test_standard_contradiction_implies_unsatisfiable():
             hits += 1
             assert not is_satisfiable(s).satisfiable
     assert hits > 0
+
+
+_LITERALS = st.builds(Literal, st.sampled_from([Prop("p"), Prop("q"), Prop("r")]), st.booleans())
+
+
+@st.composite
+def _small_clause_sets(draw):
+    # Picks from a small pool, so clauses repeat; clauses of up to three
+    # literals over three atoms hold repeated literals and tautologies.
+    pool = draw(st.lists(st.lists(_LITERALS, max_size=3).map(Clause), min_size=1, max_size=4))
+    return ClauseSet(draw(st.lists(st.sampled_from(pool), max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_clause_sets())
+@example(clause_set(clause("p", "q"), EMPTY_CLAUSE, clause("~p")))
+@example(clause_set(clause("p", "~p"), clause("q", "q"), clause("~q")))
+@example(clause_set(clause("p", "~q"), clause("p", "~q"), clause("~p"), clause("q", "q")))
+def test_split_search_agrees_with_naive_product_enumeration(s):
+    assert is_standard_contradiction(s) == sc_oracle_naive(s)
+
+
+# Lifts the product guard: the whole rectangle at n=8 has product 8^256.
+UNGUARDED = 10**300
+
+
+def signed_rect(n, signs, first_order):
+    names = (f"P{i}(a)" if first_order else f"p{i}" for i in range(n))
+    text = ", ".join(("~" if signs >> i & 1 else "") + name for i, name in enumerate(names))
+    return rect_for(text)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_small_rectangle_is_a_standard_contradiction_with_no_spare_column(n):
+    # Properties 1 and 2 by the paper's definitions: the rectangle is a
+    # standard contradiction and no single-column removal is one.
+    for signs in range(1 << n):
+        for first_order in (False, True):
+            rect = signed_rect(n, signs, first_order)
+            assert is_standard_contradiction(rect.clause_set(), UNGUARDED)
+            for j in range(rect.width):
+                assert not is_standard_contradiction(remove_clauses(rect, [j]), UNGUARDED)
+
+
+def test_rectangle_at_n8_is_a_standard_contradiction_with_no_spare_column():
+    rect = signed_rect(8, 0b10110010, False)
+    assert is_standard_contradiction(rect.clause_set(), UNGUARDED)
+    for j in (0, 77, 255):
+        assert not is_standard_contradiction(remove_clauses(rect, [j]), UNGUARDED)
+    # The search reads the view's masks from the cell rule.
+    assert rect._clauses is None
+
+
+def test_refusing_a_rectangle_builds_no_clause():
+    rect = rect_for(", ".join(f"p{i}" for i in range(16)))
+    for view in (rect.clause_set(), remove_clauses(rect, [3])):
+        with pytest.raises(ProductTooLargeError) as info:
+            is_standard_contradiction(view)
+        assert info.value.size == 16**6
+    assert rect._clauses is None
+
+
+def test_empty_clause_past_the_guard_s_trip_point_still_wins():
+    wide = [Clause([lit(f"a{i}"), lit(f"b{i}")]) for i in range(24)]
+    assert is_standard_contradiction(ClauseSet(wide + [EMPTY_CLAUSE]))
+
+
+def test_many_unit_clauses_are_pinned_without_recursion():
+    # Product 1, so the guard lets them through; one recursion per unit
+    # clause would overflow the stack.
+    units = [Clause([lit(f"a{i}")]) for i in range(5000)]
+    assert not is_standard_contradiction(ClauseSet(units))
+    assert is_standard_contradiction(ClauseSet(units + [clause("~a4999")]))
+    assert is_standard_contradiction(ClauseSet([clause("~a0")] + units))
 
 
 @settings(max_examples=60)
