@@ -333,9 +333,4 @@ class ClauseSet:
 
 def collect_atoms(clauses: Iterable[Clause]) -> tuple[Atom, ...]:
     """Distinct atoms in first-appearance order (clause order, then literal order)."""
-    seen: dict[Atom, None] = {}
-    for clause in clauses:
-        for lit in clause:
-            if lit.atom not in seen:
-                seen[lit.atom] = None
-    return tuple(seen)
+    return tuple(dict.fromkeys(lit.atom for clause in clauses for lit in clause))

@@ -278,7 +278,9 @@ def _columns(indices: Iterable[int], width: int) -> list[int]:
     columns = sorted(columns)
     if columns and (columns[0] < 0 or columns[-1] >= width):
         bad = next(j for j in columns if not 0 <= j < width)
-        if bad.bit_length() > 64:  # CPython prints no int of over 4300 digits
+        try:
+            bad = str(bad)
+        except ValueError:  # past CPython's int-to-str digit limit
             bad = f"{'≤ -' if bad < 0 else '≥ '}2**{bad.bit_length() - 1}"
         raise IndexOutOfRangeError(f"column {bad} not in 0..{width - 1}")
     return columns

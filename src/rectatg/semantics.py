@@ -172,34 +172,38 @@ def is_standard_contradiction(
             if size > max_product:
                 raise ProductTooLargeError(size, max_product)
     # The guard bounds the work, so the masks take no atom cap.
-    return not _clash_free(clause_set.masks(sys.maxsize)[1], 0, 0)
+    return not _clash_free(clause_set.masks(sys.maxsize)[1])
 
 
-def _clash_free(clauses: Iterable[tuple[int, int]], pos: int, neg: int) -> bool:
+def _clash_free(clauses: list[tuple[int, int]]) -> bool:
     """Whether a clash-free selection from the ``(pos, neg)`` clause masks
-    holds the pinned literals: the atoms in ``pos`` positive, in ``neg``
-    negated.  Unit clauses are pinned in a loop, not by recursion."""
-    pinning = True
-    while pinning:
-        pinning, open_ = False, []
-        for p, q in clauses:
-            if p & pos or q & neg:
-                continue  # a pinned literal serves this clause
-            # Its selectable literals: those no pinned literal clashes with.
-            p, q = p & ~neg, q & ~pos
-            width = p.bit_count() + q.bit_count()
-            if width > 1:
-                open_.append((p, q))
-            elif width:
-                pos, neg, pinning = pos | p, neg | q, True
-            else:
-                return False  # no literal left to select
-        clauses = open_
-    if not clauses:
-        return True
-    p, q = min(clauses, key=lambda c: c[0].bit_count() + c[1].bit_count())
-    atom = (p | q) & -(p | q)  # a literal's atom: split on pinning it either way
-    return _clash_free(clauses, pos | atom, neg) or _clash_free(clauses, pos, neg | atom)
+    exists.  A node pins the atoms in ``pos`` positive and in ``neg``
+    negated.  Nodes wait on a stack, so no input recurses."""
+    nodes = [(clauses, 0, 0)]
+    while nodes:
+        clauses, pos, neg = nodes.pop()
+        # Skip each clause a pinned literal serves; keep the selectable
+        # literals of the others: those no pinned literal clashes with.
+        clauses = [(p & ~neg, q & ~pos) for p, q in clauses if not (p & pos or q & neg)]
+        if not clauses:
+            return True
+        widths = [p.bit_count() + q.bit_count() for p, q in clauses]
+        shortest = min(widths)
+        if shortest == 1:
+            # Pin every unit clause at once; two that clash end the node.
+            for (p, q), width in zip(clauses, widths):
+                if width == 1:
+                    pos, neg = pos | p, neg | q
+            if not pos & neg:
+                nodes.append((clauses, pos, neg))
+        elif shortest:  # at 0, some clause has no literal left to select
+            p, q = clauses[widths.index(shortest)]
+            atom = (p | q) & -(p | q)
+            a, b = (atom, 0) if atom & p else (0, atom)  # a literal as the clause holds it
+            # Popped first, that literal serves the clause; its complement
+            # only narrows the clause by one.
+            nodes += [(clauses, pos | b, neg | a), (clauses, pos | a, neg | b)]
+    return False
 
 
 class Removals(Sequence):

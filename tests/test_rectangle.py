@@ -151,6 +151,7 @@ def test_remove_index_out_of_range():
     (([9, 7], "column 7 not in 0..3"), ([-2, 9, -1], "column -2 not in 0..3"),
      (["3"], "column '3' is not an integer"), ([1.5], "column 1.5 is not an integer"),
      ([9, "3", 1.5], "column '3' is not an integer"),
+     ([2**64], "column 18446744073709551616 not in 0..3"),
      # Too long to print: named by a power of two, not CPython's
      # int-to-str ValueError.
      ([10**5000], "column ≥ 2**16609 not in 0..3"),

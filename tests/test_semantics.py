@@ -244,6 +244,16 @@ def test_many_unit_clauses_are_pinned_without_recursion():
     assert is_standard_contradiction(ClauseSet([clause("~a0")] + units))
 
 
+
+@pytest.mark.parametrize("signs", ("~", "~~", "~~-"), ids=("negated", "alternating", "mixed"))
+def test_one_wide_clause_is_decided_without_recursion(signs):
+    # Product 2000 (or 2000^2), so the guard lets it through.  A search
+    # that recursed once per split would overflow the stack whenever it
+    # narrowed the clause one literal at a time.
+    literals = [lit(f"a{i}", signs[i % len(signs)] == "~") for i in range(2000)]
+    assert not is_standard_contradiction(ClauseSet([Clause(literals)]))
+    assert not is_standard_contradiction(ClauseSet([Clause(literals), Clause(literals[::-1])]))
+
 @settings(max_examples=60)
 @given(st.randoms(use_true_random=False))
 def test_satisfiability_is_monotone_under_subsets(rng):
