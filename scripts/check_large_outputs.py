@@ -23,14 +23,16 @@ such as ``head`` take it, so the bytes are checked as those readers see
 them.
 The benchmark's own jobs stop at n=18, and its ``check`` jobs at n=9;
 an odd and an even n cover both ways of splitting the rows into the
-writers' two halves.  Exits 1 if any output differs or any exit code
-is not the expected one.
+writers' two halves.  Last, it prints the largest peak RSS of any
+child, from ``getrusage(RUSAGE_CHILDREN)`` (kilobytes on Linux).  Exits
+1 if any output differs or any exit code is not the expected one.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -46,9 +48,15 @@ READ_SIZE = 1 << 16
 
 def run(argv: list[str], env: dict[str, str], out: Path) -> int:
     """Run ``rectatg`` with these arguments, copy its stdout to ``out``
-    through a pipe, and return the exit code."""
+    through a pipe, and return the exit code.
+
+    A ``preexec_fn`` makes ``subprocess`` fork the child instead of
+    vforking it.  A vforked child execs from this script's memory, and
+    Linux then starts the child's peak RSS at this script's own peak,
+    which reading the n=20 outputs back raises past 1 GiB."""
     with open(out, "wb") as f, subprocess.Popen(
-        [sys.executable, "-m", "rectatg", *argv], stdout=subprocess.PIPE, env=env
+        [sys.executable, "-m", "rectatg", *argv], stdout=subprocess.PIPE, env=env,
+        preexec_fn=lambda: None,
     ) as proc:
         fd = proc.stdout.fileno()
         while chunk := os.read(fd, READ_SIZE):
@@ -90,6 +98,8 @@ def main(argv: list[str]) -> int:
             error = f"exit code {code}" if code != job.code else job.check(out)
             print(f"{job.name:<28} {job.size:<28} {error or 'ok'}", flush=True)
             failed += error is not None
+    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    print(f"largest child peak RSS: {peak:.1f} MiB")
     return 1 if failed else 0
 
 

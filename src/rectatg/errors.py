@@ -75,6 +75,15 @@ class MalformedRecordError(RectAtgError):
     """A theorem record is unreadable or inconsistent with its provenance."""
 
 
+def _number(value: int) -> str:
+    """``value`` in decimal, or, past CPython's int-to-str digit limit,
+    by its power of two: ``≥ 2**N``, or ``≤ -2**N`` when negative."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'≤ -' if value < 0 else '≥ '}2**{value.bit_length() - 1}"
+
+
 class CapExceededError(RectAtgError):
     """Base class for configurable resource-bound violations."""
 
@@ -85,7 +94,7 @@ class SizeCapError(CapExceededError):
     def __init__(self, n: int, cap: int):
         self.n = n
         self.cap = cap
-        super().__init__(f"level {n} exceeds the materialization cap {cap}")
+        super().__init__(f"level {_number(n)} exceeds the materialization cap {_number(cap)}")
 
 
 class TooManyAtomsError(CapExceededError):
@@ -94,7 +103,9 @@ class TooManyAtomsError(CapExceededError):
     def __init__(self, count: int, bound: int):
         self.count = count
         self.bound = bound
-        super().__init__(f"{count} distinct atoms exceed the enumeration bound {bound}")
+        super().__init__(
+            f"{_number(count)} distinct atoms exceed the enumeration bound {_number(bound)}"
+        )
 
 
 class ProductTooLargeError(CapExceededError):
@@ -104,4 +115,6 @@ class ProductTooLargeError(CapExceededError):
     def __init__(self, size: int, bound: int):
         self.size = size
         self.bound = bound
-        super().__init__(f"product of clause widths {size} exceeds the bound {bound}")
+        super().__init__(
+            f"product of clause widths {_number(size)} exceeds the bound {_number(bound)}"
+        )

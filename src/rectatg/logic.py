@@ -160,7 +160,7 @@ class Pred(_Value):
 
 Atom = Union[Prop, Pred]
 
-# What ClauseSet.masks returns: atoms, (pos, neg) pairs, first-appearance clauses.
+# What ClauseSet.masks returns: atoms, one pass of (pos, neg) pairs, first-appearance clauses.
 Masks = tuple[tuple[Atom, ...], Iterable[tuple[int, int]], Collection[int]]
 
 
@@ -301,8 +301,9 @@ class ClauseSet:
         ``neg`` its negated ones.  A given ``index`` numbers the atoms it
         holds and is extended with the new ones.  The atom cap is checked
         as each new atom appears, so a set over too many atoms is refused
-        part way.  The masks may be read more than once; a rectangle view
-        (``rectangle.ColumnSet``) computes them from the cell rule.
+        part way.  The masks are read in one pass; a caller that needs a
+        second asks again.  A rectangle view (``rectangle.ColumnSet``)
+        computes them from the cell rule as they are read.
 
         >>> p, q = Literal(Prop("p")), Literal(Prop("q"), True)
         >>> atoms, masks, firsts = ClauseSet([Clause([q]), Clause([p, q])]).masks(24)

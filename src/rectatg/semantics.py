@@ -38,7 +38,7 @@ from itertools import chain
 from operator import eq
 from typing import TYPE_CHECKING, Dict
 
-from .errors import ProductTooLargeError
+from .errors import CapExceededError, ProductTooLargeError
 from .logic import Atom, ClauseSet, _set, _Value
 from .rectangle import Rectangle
 
@@ -102,8 +102,14 @@ _BUMP = bytes([1] + [2] * 255)
 
 
 def _cover(masks: Iterable[tuple[int, int]], k: int) -> bytearray:
-    """How many clauses falsify each assignment, saturated at 2."""
-    counts = bytearray(1 << k)
+    """How many clauses falsify each assignment, saturated at 2.  A table
+    this process cannot allocate is refused as a CapExceededError."""
+    try:
+        counts = bytearray(1 << k)
+    except (MemoryError, OverflowError):  # OverflowError: past the index size
+        raise CapExceededError(
+            f"the truth table over {k} atoms needs 2**{k} bytes, more than can be allocated"
+        ) from None
     full = (1 << k) - 1
     for pos, neg in masks:
         if pos & neg:
@@ -245,9 +251,6 @@ class Removals(Sequence):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Removals):
             return NotImplemented
-        if not (self._decided or other._decided) and self._atoms == other._atoms:
-            # Over the same atoms, a witness index names one result.
-            return self._witnesses == other._witnesses
         return len(self) == len(other) and all(map(eq, self, other))
 
     __hash__ = None
@@ -298,9 +301,11 @@ def check_minimality(
     appearance, as ``clauses.masks`` names them (clause 0 of a plain
     clause set), is therefore decided by ``is_satisfiable`` on the other
     clauses; removing a set's only clause leaves the empty set.  The
-    masks are read twice, for the cover and for the removals.  Cost: one
-    ``2^k``-byte array, ``Σ_c 2^(k−|c|)`` marks, the subcube scans of
-    the removals and 8 bytes per removal.
+    masks are asked for twice, one pass for the cover and one for the
+    removals: a view's masks are computed as they are read, and a plain
+    set's cost one step per literal.  Cost: one ``2^k``-byte array,
+    ``Σ_c 2^(k−|c|)`` marks, the subcube scans of the removals and 8
+    bytes per removal.
 
     Each removal result carries its witness so callers can re-check it
     against the remaining clauses.  The report keeps one witness index
@@ -319,7 +324,7 @@ def check_minimality(
     zero = counts.find(0)
     witnesses = array("q")
     decided = {}
-    for j, (pos, neg) in enumerate(masks):
+    for j, (pos, neg) in enumerate(clauses.masks(max_atoms)[1]):
         if j in firsts:
             rest = ClauseSet(clauses[:j] + clauses[j + 1 :] if len(clauses) > 1 else ())
             result = decided[j] = is_satisfiable(rest, max_atoms)

@@ -222,6 +222,26 @@ def test_verify_refuses_too_many_atoms_before_building(capsys, monkeypatch):
     assert "21" in err and "20" in err
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds mmap on Linux")
+def test_a_truth_table_the_process_cannot_allocate_is_a_cap_error():
+    # 34 atoms need a 16 GiB table.  The child may map 1 GiB, so the
+    # allocation fails there and nothing is allocated on the machine.
+    import resource
+
+    def limit_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+    argv = [sys.executable, "-m", "rectatg", "check", "-l", _names(34),
+            "--max-atoms", "40", "--max-n", "40"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=_child_env(True),
+                          preexec_fn=limit_address_space, timeout=60)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "error: the truth table over 34 atoms needs 2**34 bytes, more than can be allocated\n"
+    )
+
+
 @pytest.mark.parametrize(
     "literals, name, bad", (("zz, q", "zz", "9_"), ("P(Zz), q", "Zz", "_x")), ids=("prop", "var")
 )
@@ -1018,8 +1038,10 @@ def test_startup_imports_neither_dataclasses_inspect_nor_json(args, code, loaded
 # prefixes of --long), in any order and with repeats; input sources, none,
 # one or two; options of the other commands, bad choices and integers;
 # and now and then -h, an unknown option, a stray word or a missing value.
-# Values that start with "-" and the single-dash "-x=V" are left out:
-# argparse reads them differently from 3.10 to 3.13.
+# Values that start with "-" are left out, and so is the single-dash
+# "-x=V", which an attached value that starts with "=" would spell: the
+# reader keeps "=V", where argparse reads "V"
+# (test_attached_short_value_keeps_a_leading_equals_sign).
 _PARITY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6).filter(
     lambda text: not text.startswith("-")
 )
@@ -1049,7 +1071,8 @@ def _value_option(short, long, values):
         st.tuples(_long_spelling(long), values).map(lambda t: [f"{t[0]}={t[1]}"]),
     ]
     if short is not None:
-        forms += [values.map(lambda v: [short, v]), values.filter(bool).map(lambda v: [short + v])]
+        attached = values.filter(lambda v: v and not v.startswith("="))
+        forms += [values.map(lambda v: [short, v]), attached.map(lambda v: [short + v])]
     return st.one_of(forms)
 
 
@@ -1064,6 +1087,14 @@ _PARITY_NOISE = st.sampled_from(
     (["-h"], ["--help"], ["--he"], ["--h"], ["-x"], ["--bogus"], ["stray"], ["-Z5"], ["-l"],
      ["--max-n"])
 )
+
+
+def test_attached_short_value_keeps_a_leading_equals_sign():
+    # The one spelling the reader reads apart from argparse: -l=p is -l
+    # with the attached text "=p".
+    args = cli.build_parser().parse_args(["generate", "-l=p"])
+    assert args.literals == "=p"
+    assert cli.build_parser().parse_args(["check", "-f=g"]).file == "=g"
 
 
 def _parse_outcome(parser, argv):

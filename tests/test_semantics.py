@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rectatg import (
+    CapExceededError,
     Clause,
     ClauseSet,
     Constant,
@@ -19,6 +20,7 @@ from rectatg import (
     Prop,
     Rectangle,
     SatResult,
+    SizeCapError,
     Variable,
     TooManyAtomsError,
     check_minimality,
@@ -150,6 +152,34 @@ def test_product_bound():
     with pytest.raises(ProductTooLargeError):
         is_standard_contradiction(rect_for("p,q").clause_set(), max_product=8)
     assert is_standard_contradiction(rect_for("p,q").clause_set(), max_product=16)
+
+
+def test_a_bound_past_the_digit_limit_is_named_by_its_power_of_two():
+    # A partial product past 10**10000, and a cap of -10**5000, have more
+    # digits than CPython's int-to-str conversion allows; each message
+    # names them by their power of two, and the attributes keep the ints.
+    rect = rect_for(", ".join(f"p{i}" for i in range(14)))
+    with pytest.raises(ProductTooLargeError) as info:
+        is_standard_contradiction(rect.clause_set(), max_product=10**10000)
+    assert info.value.bound == 10**10000 < info.value.size <= 14 * 10**10000
+    assert str(info.value) == (
+        f"product of clause widths ≥ 2**{info.value.size.bit_length() - 1} "
+        "exceeds the bound ≥ 2**33219"
+    )
+    with pytest.raises(TooManyAtomsError) as info:
+        is_satisfiable(clause_set(clause("p")), max_atoms=-(10**5000))
+    assert info.value.bound == -(10**5000)
+    assert str(info.value) == "1 distinct atoms exceed the enumeration bound ≤ -2**16609"
+    with pytest.raises(SizeCapError) as info:
+        construct_from_template(parse_generation_set("p"), max_level=-(10**5000))
+    assert info.value.cap == -(10**5000)
+    assert str(info.value) == "level 1 exceeds the materialization cap ≤ -2**16609"
+
+
+def test_a_table_past_the_index_size_is_refused_before_allocation():
+    units = ClauseSet([Clause([lit(f"a{i}")]) for i in range(70)])
+    with pytest.raises(CapExceededError, match=r"over 70 atoms needs 2\*\*70 bytes"):
+        is_satisfiable(units, max_atoms=70)
 
 
 def test_pruned_search_agrees_with_naive_product_enumeration():
@@ -486,7 +516,7 @@ def test_closed_form_masks_equal_clause_route_masks(rng, data):
     atoms, masks, firsts = columns.masks(len(g))
     got = list(masks)
     assert rect._clauses is None
-    assert list(masks) == got  # every pass reads the same masks
+    assert list(columns.masks(len(g))[1]) == got  # a second call reads the same masks
     assert list(firsts) == ([0] if len(columns) == 1 else [])
     want_atoms, want, _ = ClauseSet(list(columns)).masks(len(g))
     assert got == want
