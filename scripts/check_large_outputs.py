@@ -16,6 +16,11 @@ cap.  Last, for each n, ``check --record`` reads a seeded record with
 eight hypothesis columns, written from ``inputs.record``, which takes
 the record rebuild and the closed route of ``entails`` with dropped
 columns; its stdout must be the summary and ``theorem: verified``.
+Then ``generate -o text|json|tptp`` and ``generate --verify`` run at
+n=16 with every fourth column as ``-H``: a large hypothesis side, whose
+16384 indices make an argument of about 95 KB, under Linux's 128 KiB
+limit for one argument.  Their stdout is compared through
+``theorem_lines``, ``compare_record`` and ``compare_tptp``.
 
 Each child's stdout is a pipe that this script drains with 64 KiB
 ``os.read`` calls into a file, as the benchmark's spawner and readers
@@ -44,6 +49,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 import inputs  # noqa: E402
 
 READ_SIZE = 1 << 16
+# The size of the large-hypothesis jobs: every fourth of 2**16 columns.
+QUARTER_N = 16
 
 
 def run(argv: list[str], env: dict[str, str], out: Path) -> int:
@@ -92,6 +99,18 @@ def main(argv: list[str]) -> int:
             jobs.add(f"check-record-n{n}", ["check", "--record", str(path)],
                      lambda p, lines=lines: inputs.compare_lines(p, lines),
                      size=f"n={n}, 8 hypothesis columns")
+        gens = inputs.prop_set(jobs.rng, QUARTER_N)
+        layout, hyp = inputs.Layout(gens), list(range(0, 1 << QUARTER_N, 4))
+        checks = {
+            "text": lambda p: inputs.compare_lines(p, inputs.theorem_lines(layout, hyp)),
+            "json": lambda p: inputs.compare_record(p, inputs.record(layout, hyp)),
+            "tptp": lambda p: inputs.compare_tptp(p, layout, hyp),
+        }
+        for output, verify in (("text", False), ("json", False), ("tptp", False), ("text", True)):
+            argv = ["generate", *jobs.literals(gens, as_file=False), "-o", output,
+                    "-H", inputs._indices(hyp, jobs.rng), *(["--verify"] if verify else [])]
+            jobs.add(f"generate-{output}-H{len(hyp)}{'-verify' if verify else ''}-n{QUARTER_N}",
+                     argv, checks[output], size=f"n={QUARTER_N}, {len(hyp)} hypothesis columns")
         out = Path(work) / "stdout"
         for job in jobs.workload.jobs:
             code = run(job.argv, env, out)

@@ -31,6 +31,7 @@ about 2^(n/2) texts, instead of the whole output.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import repeat
 from operator import add
 from typing import AnyStr, Callable, Iterable, Iterator
@@ -63,6 +64,7 @@ from .theoremgen import (
     LiteralConjunction,
     Theorem,
     generate_theorem_with_partition,
+    hypothesis_from_conclusion,
 )
 
 SCHEMA_VERSION = 1
@@ -216,10 +218,6 @@ def _tptp_clause_text(text: str) -> str:
     return text if text and "|" not in text else f"({text})"
 
 
-def _tptp_clause(clause) -> str:
-    return _tptp_clause_text(" | ".join(map(_tptp_literal, clause.literals)))
-
-
 def _collect_variables(term: Term, seen: dict[str, None]) -> None:
     if isinstance(term, Variable):
         seen.setdefault(term.name, None)
@@ -229,19 +227,25 @@ def _collect_variables(term: Term, seen: dict[str, None]) -> None:
 
 
 def _conjecture_formula(theorem: Theorem) -> str:
+    """The conjecture's formula.  A negated conjunction's clauses are
+    rendered through ``ClauseSet.blocks``, as the premises are, and the
+    variables are collected from the atoms of what the conclusion
+    negates, in first-appearance order, so a hypothesis view builds no
+    Clause for either."""
     conclusion = theorem.conclusion
+    hypothesis = hypothesis_from_conclusion(conclusion)
     if isinstance(conclusion, LiteralConjunction):
         parts = [_tptp_literal(l) for l in conclusion.literals]
         body = parts[0] if len(parts) == 1 else f"({' & '.join(parts)})"
-        literals = conclusion.literals
     else:
-        parts = [_tptp_clause(c) for c in conclusion.clauses]
+        blocks = hypothesis.blocks(_tptp_literal, " | ")
+        parts = [_tptp_clause_text(text + tail) for texts, tail in blocks for text in texts]
         body = f"~({' & '.join(parts)})"
-        literals = tuple(l for c in conclusion.clauses for l in c.literals)
     seen: dict[str, None] = {}
-    for lit in literals:
-        if isinstance(lit.atom, Pred):
-            for arg in lit.atom.args:
+    # The masks give the atoms; their pairs are never read.
+    for atom in hypothesis.masks(sys.maxsize)[0]:
+        if isinstance(atom, Pred):
+            for arg in atom.args:
                 _collect_variables(arg, seen)
     if seen:
         bound = ", ".join(name[0].upper() + name[1:] for name in seen)

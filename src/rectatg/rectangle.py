@@ -13,17 +13,21 @@ built on first use.  Writers never need them:
 and polarity as one block per pattern of the high half of the rows, a
 shared list of low-half texts and the block's high-half text, so a
 writer joins a block at a time; the clause view joins the same blocks
-of one-cell tuples, and ``remove_clauses`` returns a clause set whose
-``blocks`` are the kept columns' blocks.  Nor do the oracles: that
-clause set answers ``masks`` from the cell rule, so the layout is known
-here alone.  The level-by-level doubling construction lives in the
-tests as an independent cross-check, and the routes must agree cell
-for cell.
+of one-cell tuples.  A ``ColumnSet`` is a clause set of some of the
+columns: all but the ones it drops (``remove_clauses``, a theorem's
+premises), or only the ones it keeps (a theorem's hypothesis).  Its
+``blocks`` are those columns' blocks.  Nor do the oracles need them: a
+``ColumnSet`` answers ``masks`` from the cell rule, so the layout is
+known here alone.  The level-by-level doubling construction lives in
+the tests as an independent cross-check, and the routes must agree
+cell for cell.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
+from itertools import groupby
 from typing import AnyStr, Callable, Collection, Iterable, Iterator, TypeVar
 
 from .errors import IndexOutOfRangeError, SizeCapError, TooManyAtomsError, _number
@@ -82,13 +86,15 @@ class Rectangle:
         token: Callable[[Literal], _Text],
         sep: _Text,
         drop: Collection[int] = (),
+        keep: Iterable[int] | None = None,
     ) -> Iterator[tuple[list[_Text], _Text]]:
         """Column texts, in column order, in blocks ``(lows, tail)``: each
         column of a block is one of ``lows`` followed by ``tail``.
 
         A column's text is its cells rendered by ``token`` and joined by
-        ``sep``; the column indices in ``drop`` are skipped, and a block
-        that keeps no column is not yielded.
+        ``sep``.  The column indices in ``drop`` are skipped; or, when
+        ``keep`` is given, only its indices, which must be ascending, are
+        yielded.  A block that keeps no column is not yielded.
 
         ``token`` is called once per row and polarity.  The cells of the
         low ⌊n/2⌋ rows of column j depend only on the low bits of j and
@@ -98,7 +104,9 @@ class Rectangle:
         ``sep`` and that pattern's high-half text, and ``lows`` is the
         low-half text of every pattern of the low bits.  Every block
         shares one ``lows`` list, copied only for a block that holds a
-        dropped column, so callers must not change it.
+        dropped column, so callers must not change it.  A block of kept
+        columns lists their low-half texts, picked by index, so its cost
+        follows the kept columns, not the 2^⌊n/2⌋ of the block.
 
         The blocks are only concatenated, so tokens of any type that
         ``+`` joins will do: the writers pass UTF-8 ``bytes``, and
@@ -124,6 +132,10 @@ class Rectangle:
             # sep's type) and one column per block.
             lows, tails = [sep * 0], half(tokens)
         # Column j is lows[j % 2^h] + tails[j >> h].
+        if keep is not None:
+            for b, kept in groupby(keep, lambda j: j >> h):
+                yield [lows[j % len(lows)] for j in kept], tails[b]
+            return
         dropped: dict[int, set[int]] = {}
         for j in drop:
             dropped.setdefault(j >> h, set()).add(j & ((1 << h) - 1))
@@ -156,38 +168,49 @@ def _cell(lit: Literal) -> tuple[Literal]:
 
 
 class ColumnSet(ClauseSet):
-    """The columns of a rectangle, minus the dropped ones, as a clause set.
+    """Some columns of a rectangle, in column order, as a clause set.
+
+    The view holds either the columns it drops or the columns it keeps:
+    with ``keep`` None it is every column but those in ``drop``, as
+    ``remove_clauses`` and a theorem's premises give it; otherwise it is
+    the columns in ``keep``, ascending, as a theorem's hypothesis holds
+    them, and ``drop`` is None.
 
     The Clause tuple is built only when the set is iterated, indexed,
     hashed or compared with a clause set that is not a view of an equal
-    rectangle.  ``len`` needs nothing built, ``blocks`` renders through
-    ``Rectangle.column_blocks``, ``masks`` reads the cell rule, and two
-    views of equal rectangles are equal exactly when they drop the same
-    columns: the generators' predicate symbols are pairwise distinct, so
-    no two columns are equal clauses.
+    rectangle with the same ``keep``, and a view that keeps its columns
+    builds only theirs, never the rectangle's.  ``len`` needs nothing
+    built, ``blocks`` renders through ``Rectangle.column_blocks`` and
+    ``masks`` reads the cell rule.  Two views of equal rectangles with
+    the same ``keep`` are equal exactly when they drop the same columns:
+    the generators' predicate symbols are pairwise distinct, so no two
+    columns are equal clauses.
     """
 
-    __slots__ = ("rect", "drop", "_kept")
+    __slots__ = ("rect", "drop", "keep", "_kept")
 
-    def __init__(self, rect: Rectangle, drop: frozenset[int]):
-        self.rect = rect
-        self.drop = drop
+    def __init__(self, rect: Rectangle, drop: frozenset[int] | None, keep: tuple | None = None):
+        self.rect, self.drop, self.keep = rect, drop, keep
         self._kept: tuple[Clause, ...] | None = None
 
     @property
     def clauses(self) -> tuple[Clause, ...]:
         if self._kept is None:
-            drop = self.drop
-            # A view that keeps no column builds no clause to filter.
-            kept = enumerate(self.rect.clauses) if len(self) else ()
-            self._kept = tuple(c for j, c in kept if j not in drop)
+            if self.keep is None and len(self):
+                drop = self.drop
+                self._kept = tuple(c for j, c in enumerate(self.rect.clauses) if j not in drop)
+            else:
+                # Only the kept columns are built, never the rectangle's; a
+                # view that keeps no column builds none.
+                blocks = self.blocks(_cell, ())
+                self._kept = tuple(Clause(low + tail) for lows, tail in blocks for low in lows)
         return self._kept
 
     def __len__(self) -> int:
-        return self.rect.width - len(self.drop)
+        return len(self.keep) if self.drop is None else self.rect.width - len(self.drop)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ColumnSet) and self.rect == other.rect:
+        if isinstance(other, ColumnSet) and self.rect == other.rect and self.keep == other.keep:
             return self.drop == other.drop
         return ClauseSet.__eq__(self, other)
 
@@ -197,12 +220,12 @@ class ColumnSet(ClauseSet):
     def __reduce__(self):
         # The inherited clauses slot is shadowed by the property above,
         # so pickle and copy rebuild the view instead of storing slots.
-        return ColumnSet, (self.rect, self.drop)
+        return ColumnSet, (self.rect, self.drop, self.keep)
 
     def blocks(
         self, token: Callable[[Literal], AnyStr], sep: AnyStr
     ) -> Iterator[tuple[list[AnyStr], AnyStr]]:
-        return self.rect.column_blocks(token, sep, self.drop)
+        return self.rect.column_blocks(token, sep, self.drop or (), self.keep)
 
     def masks(self, max_atoms: int, index: dict[Atom, int] | None = None) -> Masks:
         """``ClauseSet.masks`` from the cell rule, building no Clause.
@@ -213,8 +236,10 @@ class ColumnSet(ClauseSet):
         positive.  The masks are one pass, each pair computed from j as
         it is read.  The atom cap is checked on n before any mask is made.
         A view that keeps no column has no atoms, and only removing a
-        one-column view's column renumbers them.  An ``index`` that
-        already numbers some atoms takes the Clause route.
+        one-column view's column renumbers them.  A given ``index`` that
+        numbers generator i as i, as another view of an equal rectangle
+        has just numbered them, keeps the cell rule; any other non-empty
+        ``index`` takes the Clause route.
 
         >>> from rectatg import parse_generation_set
         >>> view = remove_clauses(Rectangle(parse_generation_set("p, ~q")), [0])
@@ -224,17 +249,20 @@ class ColumnSet(ClauseSet):
         >>> ClauseSet(tuple(view)).masks(24)[1]
         [(0, 3), (3, 0), (2, 1)]
         """
-        if index or not len(self):
-            return ClauseSet.masks(self, max_atoms, index)
         rect = self.rect
+        atoms = [lit.atom for lit in rect.generators]
+        if not len(self) or index and any(index.get(a) != i for i, a in enumerate(atoms)):
+            return ClauseSet.masks(self, max_atoms, index)
         if rect.n > max_atoms:
             raise TooManyAtomsError(rect.n, max_atoms)
+        firsts = (0,) if len(self) == 1 and not index else ()
         index = {} if index is None else index
-        index.update((lit.atom, i) for i, lit in enumerate(rect.generators))
+        index.update((a, i) for i, a in enumerate(atoms))
         flip = sum(1 << i for i, lit in enumerate(rect.generators) if lit.negated)
-        pos0, drop, width = (rect.width - 1) ^ flip, self.drop, rect.width
-        masks = ((pos0 ^ j, flip ^ j) for j in range(width) if j not in drop)
-        return tuple(index), masks, (0,) if len(self) == 1 else ()
+        # A nonempty view that keeps its columns drops none.
+        pos0, drop = (rect.width - 1) ^ flip, self.drop or ()
+        masks = ((pos0 ^ j, flip ^ j) for j in self.keep or range(rect.width) if j not in drop)
+        return tuple(index), masks, firsts
 
 
 def construct_from_template(
@@ -245,11 +273,13 @@ def construct_from_template(
     Cell (i, j) is generator i where the level-n template marker is
     positive and its complement where the marker is "?", that is, where
     bit i of j is set.  Nothing is laid out until a view is asked for;
-    the level cap is still checked here.
+    the level cap is still checked here.  So is the width: 2**n must be
+    an index-sized integer, as ``len`` and ``range`` need, so the cap is
+    never above 62 on a 64-bit build (``sys.maxsize``).
     """
-    n = generators.n
-    if n > max_level:
-        raise SizeCapError(n, max_level)
+    n, cap = generators.n, min(max_level, sys.maxsize.bit_length() - 1)
+    if n > cap:
+        raise SizeCapError(n, cap)
     return Rectangle(generators)
 
 

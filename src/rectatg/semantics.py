@@ -352,8 +352,10 @@ def entails(
 
     ``_CLOSED_FORM_MIN_WIDTH`` premises or more are covered from their
     ``masks``, with the hypothesis atoms numbered after theirs, so a
-    rectangle view's premise clauses are never built.  Fewer premises
-    take the Clause route through ``is_satisfiable``.
+    rectangle view's premise clauses are never built, and neither are a
+    hypothesis view's when it is a view of an equal rectangle: the
+    premises have numbered generator i as i.  Fewer premises take the
+    Clause route through ``is_satisfiable``.
     """
     if len(premises) < _CLOSED_FORM_MIN_WIDTH:
         combined = ClauseSet(tuple(premises) + tuple(hypothesis))

@@ -6,11 +6,14 @@ conjunction of H.  The canonical split removes column 0 (the generation
 clause itself), which flattens to the conjunction of the complements of
 the generation literals.
 
-A theorem's premises are a view of the closed-form rectangle minus the
-hypothesis columns: writers render them through ``ClauseSet.blocks``
-without building a Clause, and the Clause tuple is built only when an
-oracle or a caller iterates them.  Only the hypothesis columns are
-built up front.
+Both sides of a theorem are views of the one closed-form rectangle
+(``rectangle.ColumnSet``): the premises drop the hypothesis columns and
+the hypothesis keeps them.  Writers render either side through
+``ClauseSet.blocks`` and the oracles read it through ``ClauseSet.masks``,
+without building a Clause; a side's Clause tuple is built only when an
+oracle or a caller iterates it, and then the hypothesis builds only its
+own columns.  So building a theorem builds no Clause, and its cost
+follows the hypothesis columns named, not the Clauses they would make.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import EmptyHypothesisError
-from .logic import Clause, ClauseSet, Literal, _set, _Value, negate_clause, negate_literal
+from .logic import BOX_TEXT, OR_TEXT, Clause, ClauseSet, Literal, _set, _Value, negate_literal
 from .parser import GenerationSet
-from .rectangle import _columns, construct_from_template, remove_clauses
+from .rectangle import ColumnSet, _columns, construct_from_template
 from .semantics import DEFAULT_MAX_ATOMS, entails
 from .template import DEFAULT_MAX_LEVEL
 
@@ -53,16 +56,23 @@ class LiteralConjunction(_Value):
 
 
 class NegatedConjunction(_Value):
-    """Conclusion shape for a multi-clause hypothesis: the negated conjunction."""
+    """Conclusion shape for a multi-clause hypothesis: the negated conjunction.
+
+    ``clauses`` is a theorem's hypothesis view, the same object as its
+    ``hypothesis_clauses``, or any clauses a caller gives: a tuple of
+    Clause objects or a ``ClauseSet``.  Either way the text is each
+    clause's ``str``, rendered through ``ClauseSet.blocks`` as the
+    premises are.
+    """
 
     __slots__ = ("clauses",)
 
-    def __init__(self, clauses: tuple[Clause, ...]):
+    def __init__(self, clauses: ClauseSet | tuple[Clause, ...]):
         _set(self, "clauses", clauses)
 
     def __str__(self) -> str:
-        inner = " ∧ ".join(f"({c})" for c in self.clauses)
-        return f"¬({inner})"
+        blocks = hypothesis_from_conclusion(self).blocks(str, OR_TEXT)
+        return f"¬(({') ∧ ('.join(t + tail or BOX_TEXT for ts, tail in blocks for t in ts)}))"
 
 
 Conclusion = LiteralConjunction | NegatedConjunction
@@ -100,28 +110,26 @@ def generate_theorem_with_partition(
     """Split the rectangle at the given column indices.
 
     The selected columns become the hypothesis H (in ascending index
-    order), everything else stays premise-side in construction order, as
-    a view of the rectangle (see ``remove_clauses``).
+    order), everything else stays premise-side in construction order.
+    Both sides are views of the rectangle (``rectangle.ColumnSet``),
+    built from the one validated list of indices: the premises drop the
+    columns, as ``remove_clauses`` would, and H keeps them.
     The conclusion is the negation of the conjunction of H, flattened to
     a literal conjunction when H is a single clause.  Selecting every
     column is allowed and leaves no premises.
     """
-    indices = _columns(hypothesis_indices, 1 << generators.n)
+    indices = tuple(_columns(hypothesis_indices, 1 << generators.n))
     if not indices:
         raise EmptyHypothesisError("the hypothesis side of a partition cannot be empty")
     rect = construct_from_template(generators, max_level)
-    hypothesis = tuple(Clause(rect.column(j)) for j in indices)
-    premises = remove_clauses(rect, indices)
-    if len(hypothesis) == 1:
-        conclusion: Conclusion = LiteralConjunction(negate_clause(hypothesis[0]))
+    hypothesis = ColumnSet(rect, None, indices)
+    if len(indices) == 1:
+        # Complementing every cell of column j gives column ~j: each bit flips.
+        conclusion: Conclusion = LiteralConjunction(rect.column(rect.width - 1 - indices[0]))
     else:
         conclusion = NegatedConjunction(hypothesis)
-    return Theorem(
-        premises,
-        ClauseSet(hypothesis),
-        conclusion,
-        Provenance(generators, tuple(indices)),
-    )
+    premises = ColumnSet(rect, frozenset(indices))
+    return Theorem(premises, hypothesis, conclusion, Provenance(generators, indices))
 
 
 def hypothesis_from_conclusion(conclusion: Conclusion) -> ClauseSet:
@@ -129,11 +137,13 @@ def hypothesis_from_conclusion(conclusion: Conclusion) -> ClauseSet:
 
     A literal conjunction asserts the negation of the single clause made
     of its complements; a negated conjunction asserts the negation of
-    its clauses taken together.
+    its clauses taken together: a clause set, such as a theorem's
+    hypothesis view, is returned as it is, and a tuple is wrapped.
     """
     if isinstance(conclusion, LiteralConjunction):
         return ClauseSet((Clause(negate_literal(l) for l in conclusion.literals),))
-    return ClauseSet(conclusion.clauses)
+    clauses = conclusion.clauses
+    return clauses if isinstance(clauses, ClauseSet) else ClauseSet(clauses)
 
 
 def verify_theorem(theorem: Theorem, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
@@ -142,9 +152,10 @@ def verify_theorem(theorem: Theorem, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool
     The conclusion is taken at face value: whatever it asserts the
     negation of is conjoined with the premises and refuted by
     ``semantics.entails``, which covers the truth table with the
-    falsified-cube oracle, reading 1024 premises or more from their
-    ``masks`` (the cell rule, for a rectangle view).  A tampered
-    conclusion therefore fails unless it happens to be entailed as well.
+    falsified-cube oracle, reading 1024 premises or more, and then the
+    hypothesis, from their ``masks``: the cell rule, for a theorem's own
+    two views.  A tampered conclusion therefore fails unless it happens
+    to be entailed as well.
     """
     return entails(
         theorem.premises, hypothesis_from_conclusion(theorem.conclusion), max_atoms
