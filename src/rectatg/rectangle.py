@@ -30,7 +30,13 @@ import sys
 from itertools import groupby
 from typing import AnyStr, Callable, Collection, Iterable, Iterator, TypeVar
 
-from .errors import IndexOutOfRangeError, SizeCapError, TooManyAtomsError, _number
+from .errors import (
+    CapExceededError,
+    IndexOutOfRangeError,
+    SizeCapError,
+    TooManyAtomsError,
+    _number,
+)
 from .logic import Atom, Clause, ClauseSet, Literal, Masks, negate_literal
 from .parser import GenerationSet
 from .template import DEFAULT_MAX_LEVEL, _sign_rows
@@ -111,7 +117,8 @@ class Rectangle:
         The blocks are only concatenated, so tokens of any type that
         ``+`` joins will do: the writers pass UTF-8 ``bytes``, and
         one-literal tuples with ``sep=()`` give the column tuples of the
-        clause view.
+        clause view.  Half-tables this process cannot allocate are a
+        CapExceededError.
         """
         tokens = [(token(pos), token(neg)) for pos, neg in self._signs]
         h = len(tokens) // 2
@@ -124,13 +131,20 @@ class Rectangle:
                 joined = [t + sep + pos for t in joined] + [t + sep + neg for t in joined]
             return joined
 
-        if h:
-            lows = half(tokens[:h])
-            tails = [sep + high for high in half(tokens[h:])]
-        else:
-            # One row: one empty low half (sep * 0 is the empty value of
-            # sep's type) and one column per block.
-            lows, tails = [sep * 0], half(tokens)
+        try:
+            if h:
+                lows = half(tokens[:h])
+                tails = [sep + high for high in half(tokens[h:])]
+            else:
+                # One row: one empty low half (sep * 0 is the empty value
+                # of sep's type) and one column per block.
+                lows, tails = [sep * 0], half(tokens)
+        except MemoryError:
+            # A raised level cap can ask for more than this process can hold.
+            raise CapExceededError(
+                f"the column blocks over {len(tokens)} rows need tables of 2**{h} and "
+                f"2**{len(tokens) - h} texts, more than can be allocated"
+            ) from None
         # Column j is lows[j % 2^h] + tails[j >> h].
         if keep is not None:
             for b, kept in groupby(keep, lambda j: j >> h):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -222,20 +224,22 @@ def test_verify_refuses_too_many_atoms_before_building(capsys, monkeypatch):
     assert "21" in err and "20" in err
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds mmap on Linux")
-def test_a_truth_table_the_process_cannot_allocate_is_a_cap_error():
-    # 34 atoms need a 16 GiB table.  The child may map 1 GiB, so the
-    # allocation fails there and nothing is allocated on the machine.
+def _limit_address_space():
+    # Run in a child before exec: it may map 1 GiB, so what cannot be
+    # allocated fails there and not on the machine.
     import resource
 
-    def limit_address_space():
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
 
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds mmap on Linux")
+def test_a_truth_table_the_process_cannot_allocate_is_a_cap_error():
+    # 34 atoms need a 16 GiB table.
     argv = [sys.executable, "-m", "rectatg", "check", "-l", _names(34),
             "--max-atoms", "40", "--max-n", "40"]
     done = subprocess.run(argv, capture_output=True, text=True, env=_child_env(True),
-                          preexec_fn=limit_address_space, timeout=60)
+                          preexec_fn=_limit_address_space, timeout=60)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == (
         "error: the truth table over 34 atoms needs 2**34 bytes, more than can be allocated\n"
@@ -893,6 +897,211 @@ def test_utf16_stdout_gets_the_same_text(argv):
     # stdout's encoder starts without the byte order mark that
     # str.encode puts first.
     assert done.stdout == out.getvalue().encode("utf-16")[2:]
+
+
+@pytest.mark.parametrize("command", ("generate", "rectangle", "check"))
+def test_a_closed_stdout_is_an_input_error(command):
+    # Started with descriptor 1 closed, the interpreter sets sys.stdout
+    # to None: one error line and exit 2, as a full disk gives.
+    done = subprocess.run(
+        [sys.executable, "-m", "rectatg", command, "-l", "p, q"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_child_env(True),
+        preexec_fn=lambda: os.close(1), timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (2, b"error: [Errno 9] standard output is closed\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds mmap on Linux")
+@pytest.mark.parametrize(
+    "argv", (("rectangle", "-o", "dimacs"), ("generate",), ("generate", "-H", "0,1")),
+    ids=("dimacs", "text", "text-H"),
+)
+def test_half_tables_the_process_cannot_allocate_are_a_cap_error(argv):
+    # 50 rows need two tables of 2^25 texts each.
+    done = subprocess.run(
+        [sys.executable, "-m", "rectatg", *argv, "-l", _names(50), "--max-n", "60"],
+        capture_output=True, text=True, env=_child_env(True),
+        preexec_fn=_limit_address_space, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "error: the column blocks over 50 rows need tables of 2**25 and 2**25 texts, "
+        "more than can be allocated\n"
+    )
+
+
+def _in_process(argv) -> tuple[int, bytes, str]:
+    """``main``'s exit code, stdout bytes and stderr, as ``run`` reads them."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+def _module_run(argv, env=None, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "rectatg", *argv], capture_output=True,
+                          env=env or _child_env(True), timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    (
+        (("generate", "-l", "p, q"), 0),
+        (("rectangle", "-l", _names(12), "-o", "dimacs"), 0),
+        (("check", "-l", "p, q"), 0),
+        (("generate", "-l", "p("), 2),
+        (("generate", "-l", "p, q", "-H", "9"), 2),
+        (("rectangle", "-l", "p, q", "--max-n", "1"), 3),
+        (("check", "-l", _names(21)), 3),
+        (("--help",), 0),
+        (("check", "-h"), 0),
+        (("generate",), 2),
+        (("frobnicate", "-l", "p"), 2),
+    ),
+    ids=("generate", "dimacs-n12", "check", "parse-error", "bad-column", "max-n", "max-atoms",
+         "help", "command-help", "no-source", "bad-command"),
+)
+def test_the_module_exits_as_main_returns(argv, code):
+    done = _module_run(argv)
+    assert (done.returncode, done.stdout, done.stderr.decode()) == _in_process(argv)
+    assert done.returncode == code
+
+
+def _sitecustomize(tmp_path: Path, source: str) -> dict[str, str]:
+    """A child environment that runs ``source`` before ``python -m rectatg``."""
+    (tmp_path / "sitecustomize.py").write_text(source, encoding="utf-8")
+    env = _child_env(True)
+    env["PYTHONPATH"] = str(tmp_path) + os.pathsep + env["PYTHONPATH"]
+    return env
+
+
+def test_a_failed_verification_exits_4_through_the_module(tmp_path, monkeypatch):
+    # No real theorem fails verification, so the child's is made to.
+    env = _sitecustomize(tmp_path, "import rectatg.cli\n"
+                                   "rectatg.cli.verify_theorem = lambda *args: False\n")
+    argv = ("generate", "-l", "p, q", "--verify")
+    done = _module_run(argv, env)
+    monkeypatch.setattr(cli, "verify_theorem", lambda *args: False)
+    assert (done.returncode, done.stdout, done.stderr.decode()) == _in_process(argv)
+    assert done.returncode == 4
+
+
+@pytest.mark.parametrize(
+    "argv, code", ((("generate", "-l", "p, q"), 0), (("generate",), 2)), ids=("ok", "usage-error")
+)
+def test_atexit_handlers_registered_before_run_still_run(tmp_path, argv, code):
+    env = _sitecustomize(tmp_path, "import atexit\n"
+                                   "atexit.register(lambda: print('atexit ran'))\n")
+    done = _module_run(argv, env)
+    expected_code, out, err = _in_process(argv)
+    assert (done.returncode, done.stdout, done.stderr.decode()) == (
+        code, out + b"atexit ran\n", err)
+    assert expected_code == code
+
+
+@pytest.mark.parametrize("buffered", (True, False))
+@pytest.mark.parametrize("sink", ("pipe", "file"))
+@pytest.mark.parametrize("command, output", FORMATS)
+def test_streamed_outputs_reach_their_reader_whole(tmp_path, command, output, sink, buffered):
+    argv = (command, "-l", _names(16), "-o", output)
+    env = _child_env(buffered)
+    if sink == "pipe":
+        done = _module_run(argv, env)
+        written = done.stdout
+    else:
+        with open(tmp_path / "out", "wb") as target:
+            done = subprocess.run([sys.executable, "-m", "rectatg", *argv], stdout=target,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        written = (tmp_path / "out").read_bytes()
+    code, out, err = _in_process(argv)
+    assert (done.returncode, done.stderr.decode()) == (code, err) == (0, "")
+    assert hashlib.sha256(written).hexdigest() == hashlib.sha256(out).hexdigest()
+
+
+class _Exited(Exception):
+    pass
+
+
+def _fake_exit(code):
+    raise _Exited(code)
+
+
+@pytest.fixture
+def exit_route(monkeypatch):
+    """``run``'s steps recorded in order; ``os._exit`` raises _Exited."""
+    steps = []
+    handlers = SimpleNamespace(_run_exitfuncs=lambda: steps.append("atexit"))
+    monkeypatch.setattr(cli, "atexit", handlers)
+    monkeypatch.setattr(os, "_exit", _fake_exit)
+
+    class Stream(io.StringIO):
+        def __init__(self, name, error=None):
+            super().__init__()
+            self.name, self.error = name, error
+
+        def flush(self):
+            steps.append(f"flush {self.name}")
+            if self.error is not None:
+                raise self.error
+
+    def stream(name, error=None):
+        monkeypatch.setattr(sys, name, Stream(name, error))
+
+    return steps, stream
+
+
+@pytest.mark.parametrize(
+    "result, code", ((0, 0), (3, 3), (SystemExit(2), 2), (SystemExit(0), 0))
+)
+def test_run_ends_with_os_exit_after_the_handlers_and_the_flushes(
+    exit_route, monkeypatch, result, code
+):
+    steps, stream = exit_route
+    stream("stdout"), stream("stderr")
+
+    def fake_main():
+        if isinstance(result, SystemExit):
+            raise result
+        return result
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    with pytest.raises(_Exited) as exited:
+        cli.run()
+    assert exited.value.args == (code,)
+    assert steps == ["atexit", "flush stdout", "flush stderr"]
+
+
+@pytest.mark.parametrize("error", (OSError(28, "No space left on device"), ValueError("closed")))
+def test_run_leaves_a_failed_flush_to_the_interpreter(exit_route, monkeypatch, error):
+    steps, stream = exit_route
+    stream("stdout", error), stream("stderr")
+    monkeypatch.setattr(cli, "main", lambda: 2)
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == 2
+    assert steps == ["atexit", "flush stdout"]
+
+
+def test_run_leaves_other_exits_and_errors_to_the_interpreter(exit_route, monkeypatch):
+    steps, _ = exit_route
+
+    def fails(error):
+        def fake_main():
+            raise error
+        return fake_main
+
+    monkeypatch.setattr(cli, "main", fails(SystemExit("a message")))
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == "a message"
+    monkeypatch.setattr(cli, "main", fails(KeyError("escaped")))
+    with pytest.raises(KeyError, match="escaped"):
+        cli.run()
+    assert steps == []
 
 
 _LITERAL_TEXT = st.text(
