@@ -12,7 +12,7 @@ rebuilds from the bit rule, through its ``compare_lines``,
 and ``generate --verify`` (eight hypothesis columns) run the oracles,
 and their stdout is compared through ``compare_lines`` with
 ``check_summary`` and ``theorem_lines``; n=20 is the CLI's default atom
-cap.  Last, for each n, ``check --record`` reads a seeded record with
+cap.  Next, for each n, ``check --record`` reads a seeded record with
 eight hypothesis columns, written from ``inputs.record``, which takes
 the record rebuild and the closed route of ``entails`` with dropped
 columns; its stdout must be the summary and ``theorem: verified``.
@@ -20,7 +20,11 @@ Then ``generate -o text|json|tptp`` and ``generate --verify`` run at
 n=16 with every fourth column as ``-H``: a large hypothesis side, whose
 16384 indices make an argument of about 95 KB, under Linux's 128 KiB
 limit for one argument.  Their stdout is compared through
-``theorem_lines``, ``compare_record`` and ``compare_tptp``.
+``theorem_lines``, ``compare_record`` and ``compare_tptp``.  Last,
+``check --record`` reads an n=16 record whose ``removed_indices`` leave
+ten premises: ``entails`` covers its 65526-column hypothesis view from
+the cell rule, not clause by clause; its stdout must be the summary and
+``theorem: verified``.
 
 Each child's stdout is a pipe that this script drains with 64 KiB
 ``os.read`` calls into a file, as the benchmark's spawner and readers
@@ -49,8 +53,10 @@ sys.path.insert(0, str(ROOT / "bench"))
 import inputs  # noqa: E402
 
 READ_SIZE = 1 << 16
-# The size of the large-hypothesis jobs: every fourth of 2**16 columns.
+# The size of the large-hypothesis jobs: every fourth of 2**16 columns,
+# and all but FEW_PREMISES of them.
 QUARTER_N = 16
+FEW_PREMISES = 10
 
 
 def run(argv: list[str], env: dict[str, str], out: Path) -> int:
@@ -111,6 +117,15 @@ def main(argv: list[str]) -> int:
                     "-H", inputs._indices(hyp, jobs.rng), *(["--verify"] if verify else [])]
             jobs.add(f"generate-{output}-H{len(hyp)}{'-verify' if verify else ''}-n{QUARTER_N}",
                      argv, checks[output], size=f"n={QUARTER_N}, {len(hyp)} hypothesis columns")
+        premises = set(jobs.rng.sample(range(1 << QUARTER_N), FEW_PREMISES))
+        rest = [j for j in range(1 << QUARTER_N) if j not in premises]
+        path = Path(work) / f"record-{FEW_PREMISES}-premises-n{QUARTER_N}.json"
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(inputs.record(layout, rest), f, ensure_ascii=False, indent=2)
+        lines = [inputs.check_summary(QUARTER_N), "theorem: verified"]
+        jobs.add(f"check-record-P{FEW_PREMISES}-n{QUARTER_N}", ["check", "--record", str(path)],
+                 lambda p, lines=lines: inputs.compare_lines(p, lines),
+                 size=f"n={QUARTER_N}, {FEW_PREMISES} premises")
         out = Path(work) / "stdout"
         for job in jobs.workload.jobs:
             code = run(job.argv, env, out)

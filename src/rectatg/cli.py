@@ -141,7 +141,7 @@ def _read(command: str | None, rows: tuple, argv: list[str], values: dict) -> li
             if value is not None:
                 _fail(command, f"argument {_name(row)}: ignored explicit argument {value!r}")
             if row is _HELP:
-                print("\n".join(_help(command)))
+                _write((("\n".join(_help(command)) + "\n").encode(),))
                 raise SystemExit(EXIT_OK)
             values[row[1]] = True
         else:
@@ -198,7 +198,7 @@ def _help(command: str | None) -> list[str]:
 
 
 def _fail(command: str | None, message: str) -> None:
-    sys.stderr.write(f"{_help(command)[0]}\nerror: {message}\n")
+    _write_error(f"{_help(command)[0]}\nerror: {message}\n")
     raise SystemExit(EXIT_INPUT)
 
 
@@ -263,7 +263,10 @@ def _write(pieces: Iterable[bytes]) -> None:
     would for the ``str``.
 
     A reader that stops early (``| head``) is not an error: rendering
-    stops at the first failed write and the command still exits 0.
+    stops at the first failed write and the command still exits 0.  Any
+    other failed write (a full disk, ``/dev/full``) stops it too and is
+    raised, an input error; in both cases what is still buffered is
+    dropped, so no later flush fails on it.
     """
     out = sys.stdout
     if out is None:
@@ -279,8 +282,10 @@ def _write(pieces: Iterable[bytes]) -> None:
             out.flush()
             _write_chunks(binary, pieces)
         out.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         _discard(out)
+        if not isinstance(exc, BrokenPipeError):
+            raise
 
 
 def _write_chunks(binary, pieces: Iterable[bytes]) -> None:
@@ -334,9 +339,10 @@ def _emit(clauses: int, whole: Callable[..., str], lines: Callable[..., Iterator
 
 
 def _discard(out) -> None:
-    # The reader has gone.  Point the descriptor at /dev/null, so the
-    # final flush (``run``'s, or the interpreter's) has somewhere to
-    # write what is still buffered instead of printing "Exception ignored".
+    # The reader has gone, or the file is full.  Point the descriptor at
+    # /dev/null, so the final flush (``run``'s, or the interpreter's) has
+    # somewhere to write what is still buffered instead of printing
+    # "Exception ignored" and exiting 120.
     try:
         fd = out.fileno()
     except (AttributeError, OSError, ValueError):
@@ -348,6 +354,20 @@ def _discard(out) -> None:
         os.close(devnull)
 
 
+def _write_error(text: str) -> None:
+    """Write ``text`` to standard error and flush it: the one route of
+    every usage, input, cap and verification error line.
+
+    A stderr that is None (started with descriptor 2 closed), closed or
+    full loses the line; the exit code still says what went wrong.
+    """
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # None, full or closed
+        pass
+
+
 def cmd_generate(args: SimpleNamespace) -> int:
     generators = _load_generation_set(args)
     if args.verify:
@@ -355,7 +375,7 @@ def cmd_generate(args: SimpleNamespace) -> int:
     indices = args.hypothesis if args.hypothesis is not None else (0,)
     theorem = generate_theorem_with_partition(generators, indices, args.max_n)
     if args.verify and not verify_theorem(theorem, args.max_atoms):
-        print("error: generated theorem failed verification", file=sys.stderr)
+        _write_error("error: generated theorem failed verification\n")
         return EXIT_CHECK
     count = len(theorem.premises)
     if args.output == "tptp":
@@ -407,19 +427,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # From here on, args.max_n holds the effective cap.
         args.max_n = _resolved_max_level(args.max_n)
         if getattr(args, "max_atoms", 1) < 1:
             raise ValueError("--max-atoms must be at least 1")
         return _COMMANDS[args.command](args)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except (RectAtgError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        _write_error(f"error: {exc}\n")
+        return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_INPUT
 
 
 def run() -> NoReturn:
@@ -430,10 +447,12 @@ def run() -> NoReturn:
     a caller can see is run the ``atexit`` handlers and flush stdout and
     stderr; its finalization (emptying every module and a full garbage
     collection, about 9 ms a process) shows nothing.  So those two steps
-    are done here and ``os._exit`` ends the process.  A flush that fails,
-    or an exit code that is not an integer, takes ``sys.exit`` instead,
-    and the interpreter reports it as it always has; an exception that
-    escapes ``main`` propagates as it would without this function.
+    are done here and ``os._exit`` ends the process.  A stdout flush that
+    fails, or an exit code that is not an integer, takes ``sys.exit``
+    instead, and the interpreter reports it as it always has; a stderr
+    that cannot be flushed has lost its lines already, so the code stands.
+    An exception that escapes ``main`` propagates as it would without
+    this function.
     """
     try:
         code = main()
@@ -442,12 +461,12 @@ def run() -> NoReturn:
     if isinstance(code, int):
         atexit._run_exitfuncs()
         try:
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:
-                    stream.flush()
+            if sys.stdout is not None:
+                sys.stdout.flush()
         except (OSError, ValueError):  # ValueError: a stream closed in process
             pass
         else:
+            _write_error("")  # the flush of stderr, if it can take one
             os._exit(code)
     sys.exit(code)
 

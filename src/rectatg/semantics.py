@@ -48,8 +48,9 @@ if TYPE_CHECKING:
 DEFAULT_MAX_ATOMS = 24
 DEFAULT_MAX_PRODUCT = 10**7
 
-# Below this many clauses `entails` takes the Clause route and cli._emit
-# renders whole through the `str` writers, so that bench/test_bench.py::
+# When neither side of `entails` has this many clauses it takes the
+# Clause route, and below this many cli._emit renders whole through the
+# `str` writers, so that bench/test_bench.py::
 # test_tracer_wraps_every_lookup_and_restores_it still sees the
 # `Rectangle.clauses`, `is_satisfiable` and `render_theorem` spans of a
 # small `generate --verify`.
@@ -350,14 +351,16 @@ def entails(
     """Refutation check: premises entail the negation of the hypothesis
     conjunction exactly when premises plus hypothesis are unsatisfiable.
 
-    ``_CLOSED_FORM_MIN_WIDTH`` premises or more are covered from their
-    ``masks``, with the hypothesis atoms numbered after theirs, so a
+    Premises and a hypothesis that are both under
+    ``_CLOSED_FORM_MIN_WIDTH`` clauses take the Clause route through
+    ``is_satisfiable``.  Otherwise both are covered from their ``masks``,
+    with the hypothesis atoms numbered after the premises', so a
     rectangle view's premise clauses are never built, and neither are a
-    hypothesis view's when it is a view of an equal rectangle: the
-    premises have numbered generator i as i.  Fewer premises take the
-    Clause route through ``is_satisfiable``.
+    hypothesis view's when it is a view of an equal rectangle: premises
+    of that rectangle have numbered generator i as i, and no premises
+    numbered nothing.
     """
-    if len(premises) < _CLOSED_FORM_MIN_WIDTH:
+    if len(premises) < _CLOSED_FORM_MIN_WIDTH and len(hypothesis) < _CLOSED_FORM_MIN_WIDTH:
         combined = ClauseSet(tuple(premises) + tuple(hypothesis))
         return not is_satisfiable(combined, max_atoms).satisfiable
     index: dict[Atom, int] = {}

@@ -152,10 +152,10 @@ def verify_theorem(theorem: Theorem, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool
     The conclusion is taken at face value: whatever it asserts the
     negation of is conjoined with the premises and refuted by
     ``semantics.entails``, which covers the truth table with the
-    falsified-cube oracle, reading 1024 premises or more, and then the
-    hypothesis, from their ``masks``: the cell rule, for a theorem's own
-    two views.  A tampered conclusion therefore fails unless it happens
-    to be entailed as well.
+    falsified-cube oracle, reading the premises and the hypothesis from
+    their ``masks`` when either side holds 1024 clauses or more: the cell
+    rule, for a theorem's own two views.  A tampered conclusion therefore
+    fails unless it happens to be entailed as well.
     """
     return entails(
         theorem.premises, hypothesis_from_conclusion(theorem.conclusion), max_atoms

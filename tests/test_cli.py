@@ -990,6 +990,99 @@ def test_a_failed_verification_exits_4_through_the_module(tmp_path, monkeypatch)
     assert done.returncode == 4
 
 
+_HELPS = (("--help",), ("check", "-h"))
+
+
+def _module_into(argv, env=None, **streams) -> subprocess.CompletedProcess:
+    """``python -m rectatg`` with the given ``stdout`` and ``stderr``."""
+    return subprocess.run([sys.executable, "-m", "rectatg", *argv],
+                          env=env or _child_env(True), timeout=60, **streams)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", (True, False))
+@pytest.mark.parametrize("argv", _HELPS, ids=("help", "command-help"))
+def test_help_into_a_full_file_exits_as_a_result_does(argv, buffered):
+    # Buffered, the failed write is the flush of a small output; what is
+    # left in the buffer is dropped, so the exit cannot flush it again.
+    def full(argv):
+        with open("/dev/full", "wb") as target:
+            done = _module_into(argv, _child_env(buffered), stdout=target,
+                                stderr=subprocess.PIPE)
+        return done.returncode, done.stderr
+
+    assert full(argv) == full(("generate", "-l", "p")) == (
+        2, b"error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("buffered", (True, False))
+@pytest.mark.parametrize("argv", _HELPS, ids=("help", "command-help"))
+def test_help_into_a_gone_reader_exits_as_a_result_does(argv, buffered):
+    def gone(argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _module_into(argv, _child_env(buffered), stdout=write_end,
+                                stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        return done.returncode, done.stderr
+
+    assert gone(argv) == gone(("generate", "-l", "p")) == (0, b"")
+
+
+@pytest.mark.parametrize("stderr", ("closed", "full"))
+@pytest.mark.parametrize(
+    "argv, code",
+    (
+        (("generate", "-l", "p("), 2),
+        (("rectangle", "-l", "p, q", "--max-n", "1"), 3),
+        (("generate", "-l", "p", "--bogus"), 2),
+        (("generate", "-l", "p, q", "--verify"), 4),
+    ),
+    ids=("parse-error", "max-n", "usage-error", "verify"),
+)
+def test_errors_keep_their_codes_when_stderr_cannot_take_them(tmp_path, argv, code, stderr):
+    # The error line is lost; the code still says what went wrong.  No
+    # real theorem fails verification, so the child's is made to.
+    env = _sitecustomize(tmp_path, "import rectatg.cli\n"
+                                   "rectatg.cli.verify_theorem = lambda *args: False\n")
+    if stderr == "closed":
+        done = _module_into(argv, env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                            preexec_fn=lambda: os.close(2))
+    elif not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    else:
+        with open("/dev/full", "wb") as target:
+            done = _module_into(argv, env, stdout=subprocess.PIPE, stderr=target)
+    assert (done.returncode, done.stdout) == (code, b"")
+
+
+@pytest.mark.parametrize("stderr", (None, "closed", "full"))
+@pytest.mark.parametrize(
+    "argv, code",
+    ((("generate", "-l", "p("), 2), (("rectangle", "-l", "p, q", "--max-n", "1"), 3),
+     (("generate", "-l", "p", "--bogus"), 2)),
+    ids=("parse-error", "max-n", "usage-error"),
+)
+def test_main_keeps_its_codes_without_a_stderr(monkeypatch, argv, code, stderr):
+    class Full(io.StringIO):
+        # A line-buffered stderr fails in the write of a whole line.
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    stream = {None: None, "closed": io.StringIO(), "full": Full()}[stderr]
+    if stderr == "closed":
+        stream.close()
+    monkeypatch.setattr(sys, "stderr", stream)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        try:
+            got = main(list(argv))
+        except SystemExit as exc:
+            got = exc.code
+    assert (got, out.getvalue()) == (code, "")
+
+
 @pytest.mark.parametrize(
     "argv, code", ((("generate", "-l", "p, q"), 0), (("generate",), 2)), ids=("ok", "usage-error")
 )
@@ -1084,6 +1177,19 @@ def test_run_leaves_a_failed_flush_to_the_interpreter(exit_route, monkeypatch, e
         cli.run()
     assert exited.value.code == 2
     assert steps == ["atexit", "flush stdout"]
+
+
+@pytest.mark.parametrize("error", (OSError(28, "No space left on device"), ValueError("closed")))
+def test_run_keeps_the_code_when_only_stderr_cannot_be_flushed(exit_route, monkeypatch, error):
+    # The error line is lost either way; the interpreter's exit would
+    # only try the flush again and turn the code into 120.
+    steps, stream = exit_route
+    stream("stdout"), stream("stderr", error)
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    with pytest.raises(_Exited) as exited:
+        cli.run()
+    assert exited.value.args == (3,)
+    assert steps == ["atexit", "flush stdout", "flush stderr"]
 
 
 def test_run_leaves_other_exits_and_errors_to_the_interpreter(exit_route, monkeypatch):

@@ -633,6 +633,34 @@ def test_entails_takes_the_clause_route_for_fewer_premises_than_the_cut():
     assert theorem.premises.rect._clauses is not None
 
 
+@pytest.mark.parametrize("premises", (10, 0))
+def test_entails_covers_few_premises_and_a_large_hypothesis_from_the_cell_rule(premises):
+    # Ten premises, or none, and every other column of an n=12 rectangle
+    # as the hypothesis view: no side is built clause by clause, and the
+    # verdicts are the Clause route's under a cut above both sides.
+    g = mixed_generation_set(12)
+    width = 1 << g.n
+    kept = set(random.Random(premises).sample(range(width), premises))
+    hyp = [j for j in range(width) if j not in kept]
+    assert len(hyp) >= semantics._CLOSED_FORM_MIN_WIDTH
+
+    def verdicts():
+        theorem = generate_theorem_with_partition(g, hyp)
+        short = generate_theorem_with_partition(g, hyp[1:])
+        got = (verify_theorem(theorem), entails(theorem.premises, short.hypothesis_clauses))
+        return got, (theorem.premises.rect, short.premises.rect)
+
+    with mock.patch.object(semantics, "is_satisfiable") as spy:
+        got, rects = verdicts()
+    spy.assert_not_called()
+    assert [rect._clauses for rect in rects] == [None, None]
+    with closed_form_cut(width + 1), mock.patch.object(
+        semantics, "is_satisfiable", wraps=semantics.is_satisfiable
+    ) as spy:
+        assert verdicts()[0] == got == (True, False)
+    assert spy.call_count == 2
+
+
 @pytest.mark.parametrize("cut", (semantics._CLOSED_FORM_MIN_WIDTH, 0))
 @pytest.mark.parametrize("n", range(1, 11))
 def test_closed_form_and_explicit_rows_give_equal_reports(n, cut):
