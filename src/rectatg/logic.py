@@ -34,21 +34,25 @@ class _Value:
     """Base of the immutable value classes.
 
     A subclass lists its fields in ``__slots__`` and stores them in its
-    ``__init__`` with ``_set``.  Two values are equal when they are of
-    the same class with equal fields; the hash is the field tuple's,
-    computed once and kept in ``_hash``, a slot that is not a field.
-    The repr reads ``Prop(name='p')``, positional patterns match the
-    fields in order, fields cannot be assigned or deleted, and pickle
-    and ``copy`` rebuild a value by calling its class with the fields.
+    ``__init__`` with ``_set``.  The fields are the public names there;
+    a slot whose name starts with ``_`` is a cache, and everything below
+    ignores it.  Two values are equal when they are of the same class with
+    equal fields; the hash is the field tuple's, computed once and kept
+    in the ``_hash`` cache.  The repr reads ``Prop(name='p')``,
+    positional patterns match the fields in order, no slot can be
+    assigned or deleted, and pickle and ``copy`` rebuild a value by
+    calling its class with the fields, so a copy starts with empty
+    caches.
     """
 
     __slots__ = ("_hash",)
 
     def __init_subclass__(cls):
-        get = attrgetter(*cls.__slots__)
+        fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        get = attrgetter(*fields)
         # attrgetter of a single name gives the bare value, not a tuple.
-        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda v: (get(v),))
-        cls.__match_args__ = cls.__slots__
+        cls._fields = staticmethod(get if len(fields) > 1 else lambda v: (get(v),))
+        cls.__match_args__ = fields
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -63,7 +67,7 @@ class _Value:
             return self._hash
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name, value):
@@ -250,6 +254,9 @@ class ClauseSet:
 
     An empty ClauseSet (no clauses, satisfiable) is a different value
     from a ClauseSet holding just the empty clause (unsatisfiable).
+    The hash is the length's: equal sets have equal lengths, and a
+    rectangle view (``rectangle.ColumnSet``) knows its length without
+    building a Clause.
     """
 
     __slots__ = ("clauses",)
@@ -263,7 +270,7 @@ class ClauseSet:
         return self.clauses == other.clauses
 
     def __hash__(self) -> int:
-        return hash(self.clauses)
+        return hash(len(self))
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)

@@ -37,7 +37,7 @@ from .errors import (
     TooManyAtomsError,
     _number,
 )
-from .logic import Atom, Clause, ClauseSet, Literal, Masks, negate_literal
+from .logic import Atom, Clause, ClauseSet, Literal, Masks, _set, _Value, negate_literal
 from .parser import GenerationSet
 from .template import DEFAULT_MAX_LEVEL, _sign_rows
 
@@ -45,21 +45,24 @@ from .template import DEFAULT_MAX_LEVEL, _sign_rows
 _Text = TypeVar("_Text")
 
 
-class Rectangle:
+class Rectangle(_Value):
     """The closed-form literal grid over the generators, plus its views.
 
     Clause j is column j read top to bottom.  The rows and the clauses
-    reuse one literal object per row and polarity.
+    reuse one literal object per row and polarity.  The generators fix
+    every cell, so they are the value's one field: a rectangle compares,
+    hashes, pickles and copies by them alone, and the views it has built
+    are caches that a copy starts without.
     """
 
     __slots__ = ("generators", "_signs", "_rows", "_clauses")
 
     def __init__(self, generators: GenerationSet):
-        self.generators = generators
+        _set(self, "generators", generators)
         # One (literal, complement) pair per row, shared by every view.
-        self._signs = [(lit, negate_literal(lit)) for lit in generators]
-        self._rows: tuple[tuple[Literal, ...], ...] | None = None
-        self._clauses: tuple[Clause, ...] | None = None
+        _set(self, "_signs", [(lit, negate_literal(lit)) for lit in generators])
+        _set(self, "_rows", None)
+        _set(self, "_clauses", None)
 
     @property
     def n(self) -> int:
@@ -72,14 +75,13 @@ class Rectangle:
     @property
     def rows(self) -> tuple[tuple[Literal, ...], ...]:
         if self._rows is None:
-            self._rows = tuple(_sign_rows(self.n, [((p,), (q,)) for p, q in self._signs]))
+            _set(self, "_rows", tuple(_sign_rows(self.n, [((p,), (q,)) for p, q in self._signs])))
         return self._rows
 
     @property
     def clauses(self) -> tuple[Clause, ...]:
         if self._clauses is None:
-            blocks = self.column_blocks(_cell, ())
-            self._clauses = tuple(Clause(low + tail) for lows, tail in blocks for low in lows)
+            _set(self, "_clauses", _clause_tuple(self.clause_set(), share=False))
         return self._clauses
 
     def column(self, j: int) -> tuple[Literal, ...]:
@@ -163,15 +165,6 @@ class Rectangle:
     def clause_set(self) -> ClauseSet:
         return ColumnSet(self, frozenset())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Rectangle):
-            return NotImplemented
-        # The generators fix every cell.
-        return self.generators == other.generators
-
-    def __hash__(self) -> int:
-        return hash(self.generators)
-
     def __repr__(self) -> str:
         return f"Rectangle(n={self.n}, width={self.width})"
 
@@ -179,6 +172,25 @@ class Rectangle:
 def _cell(lit: Literal) -> tuple[Literal]:
     """A literal as a one-cell column: the token the clause view joins."""
     return (lit,)
+
+
+def _clause_tuple(view: ColumnSet, share: bool) -> tuple[Clause, ...]:
+    """The view's Clauses, in column order.
+
+    With ``share`` the view filters the rectangle's own tuple and shares
+    its Clauses.  Otherwise it joins its own from its blocks of one-cell
+    tuples, so a view that keeps its columns builds only theirs.  A
+    tuple this process cannot allocate is a CapExceededError.
+    """
+    try:
+        if share:
+            drop = view.drop
+            return tuple(c for j, c in enumerate(view.rect.clauses) if j not in drop)
+        return tuple(Clause(low + tail) for lows, tail in view.blocks(_cell, ()) for low in lows)
+    except MemoryError:
+        raise CapExceededError(
+            f"the tuple of {_number(len(view))} clauses is more than can be allocated"
+        ) from None
 
 
 class ColumnSet(ClauseSet):
@@ -190,15 +202,14 @@ class ColumnSet(ClauseSet):
     the columns in ``keep``, ascending, as a theorem's hypothesis holds
     them, and ``drop`` is None.
 
-    The Clause tuple is built only when the set is iterated, indexed,
-    hashed or compared with a clause set that is not a view of an equal
-    rectangle with the same ``keep``, and a view that keeps its columns
-    builds only theirs, never the rectangle's.  ``len`` needs nothing
-    built, ``blocks`` renders through ``Rectangle.column_blocks`` and
-    ``masks`` reads the cell rule.  Two views of equal rectangles with
-    the same ``keep`` are equal exactly when they drop the same columns:
-    the generators' predicate symbols are pairwise distinct, so no two
-    columns are equal clauses.
+    The Clause tuple (``_clause_tuple``) is built only when the set is
+    iterated, indexed or compared with a clause set that is not a view
+    of an equal rectangle with the same ``keep``.  ``len`` and the hash
+    need nothing built, ``blocks`` renders through
+    ``Rectangle.column_blocks`` and ``masks`` reads the cell rule.  Two
+    views of equal rectangles with the same ``keep`` are equal exactly
+    when they drop the same columns: the generators' predicate symbols
+    are pairwise distinct, so no two columns are equal clauses.
     """
 
     __slots__ = ("rect", "drop", "keep", "_kept")
@@ -210,14 +221,8 @@ class ColumnSet(ClauseSet):
     @property
     def clauses(self) -> tuple[Clause, ...]:
         if self._kept is None:
-            if self.keep is None and len(self):
-                drop = self.drop
-                self._kept = tuple(c for j, c in enumerate(self.rect.clauses) if j not in drop)
-            else:
-                # Only the kept columns are built, never the rectangle's; a
-                # view that keeps no column builds none.
-                blocks = self.blocks(_cell, ())
-                self._kept = tuple(Clause(low + tail) for lows, tail in blocks for low in lows)
+            # An empty view joins nothing rather than filter the whole tuple.
+            self._kept = _clause_tuple(self, share=self.keep is None and len(self) > 0)
         return self._kept
 
     def __len__(self) -> int:
@@ -228,7 +233,8 @@ class ColumnSet(ClauseSet):
             return self.drop == other.drop
         return ClauseSet.__eq__(self, other)
 
-    # Equal views hold equal clauses, so the clause tuple's hash agrees.
+    # Defining __eq__ clears the inherited hash; equal views have equal
+    # lengths, so the length's hash agrees with __eq__.
     __hash__ = ClauseSet.__hash__
 
     def __reduce__(self):

@@ -50,7 +50,7 @@ def lit(name: str, negated: bool = False) -> Literal:
 
 def replace(value, **changes):
     """A new value of the same class with the named fields changed."""
-    fields = {name: getattr(value, name) for name in type(value).__slots__}
+    fields = {name: getattr(value, name) for name in type(value).__match_args__}
     return type(value)(**{**fields, **changes})
 
 

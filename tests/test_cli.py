@@ -1453,3 +1453,16 @@ def test_option_reader_agrees_with_argparse(before, command, sources, tokens, no
     argv = [*before, *command, *(word for token in tokens for word in token)]
     got = _parse_outcome(cli.build_parser(), argv)
     assert got == _parse_outcome(_REFERENCE_PARSER, argv)
+
+
+def test_a_zero_arity_predicate_is_a_quoted_tptp_name(capsys):
+    # P() has no arguments, so TPTP writes the bare name, quoted for its
+    # capital letter: unquoted, TPTP would read a variable.
+    code, out, err = run(capsys, "generate", "-l", "P(), q", "-o", "tptp")
+    assert (code, err) == (0, "")
+    assert out == (
+        "cnf(premise_0001, axiom, (~'P' | q)).\n"
+        "cnf(premise_0002, axiom, ('P' | ~q)).\n"
+        "cnf(premise_0003, axiom, (~'P' | ~q)).\n"
+        "fof(conclusion, conjecture, (~'P' & ~q)).\n"
+    )

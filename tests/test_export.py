@@ -440,3 +440,11 @@ def test_arbitrary_json_in_any_record_field_raises_only_package_errors(path, val
 def test_record_fields_cover_every_generator_field():
     names = {path[-1] for path in _FIELDS if path[0] == "generators"}
     assert {"atom", "kind", "name", "args", "symbol", "negated"} <= names
+
+
+def test_generators_that_are_not_a_list_are_malformed():
+    data = json.loads(save_record(generate_theorem(parse_generation_set("p, q"))))
+    data["generators"] = {}
+    with pytest.raises(MalformedRecordError) as info:
+        export.read_record(json.dumps(data))
+    assert str(info.value) == "generators must be a JSON list"

@@ -34,7 +34,7 @@ from rectatg import (
     parse_generation_set,
     remove_clauses,
 )
-from rectatg.logic import _set
+from rectatg.logic import _set, _Value
 from rectatg.parser import _Token
 
 from conftest import clause, lit
@@ -316,3 +316,45 @@ def test_values_match_positional_patterns_by_field_order():
             assert (name, negated) == ("p", True)
         case _:
             pytest.fail("no match")
+
+
+def test_clause_length_counts_repeated_literals():
+    assert len(Clause([lit("p"), lit("p")])) == 2
+
+
+def test_clauses_and_clause_sets_equal_no_other_value():
+    c = clause("p", "~q")
+    s = ClauseSet([c])
+    for other in (c.literals, [c], (c,), str(c), None, 1):
+        assert c != other and s != other
+        assert c.__eq__(other) is NotImplemented and s.__eq__(other) is NotImplemented
+    assert c != s and s != c
+    assert ClauseSet() != () and ClauseSet() != EMPTY_CLAUSE
+
+
+def test_a_clause_set_hashes_by_its_length():
+    for s in (ClauseSet(), ClauseSet([EMPTY_CLAUSE]), ClauseSet([clause("p"), clause("~q", "r")])):
+        assert hash(s) == hash(len(s))
+    # A view answers without building a Clause, and agrees with its plain copy.
+    view = remove_clauses(construct_from_template(parse_generation_set("p, q")), (1,))
+    assert hash(view) == hash(3) and view._kept is None
+    assert hash(ClauseSet(tuple(view))) == hash(view)
+
+
+def test_underscore_slots_are_caches_not_fields():
+    class Cached(_Value):
+        __slots__ = ("name", "_memo")
+
+        def __init__(self, name):
+            _set(self, "name", name)
+            _set(self, "_memo", None)
+
+    a, b = Cached("a"), Cached("a")
+    _set(a, "_memo", [1])
+    assert Cached.__match_args__ == ("name",) and Cached._fields(a) == ("a",)
+    assert a == b and hash(a) == hash(b) == hash(("a",))
+    assert repr(a) == f"{Cached.__qualname__}(name='a')"
+    for again in (copy.copy(a), copy.deepcopy(a)):
+        assert again == a and again._memo is None
+    with pytest.raises(AttributeError):
+        a._memo = None

@@ -235,3 +235,9 @@ def test_arbitrary_text_raises_only_package_errors(text, style):
         parse_generation_set(text, style)
     except RectAtgError:
         pass
+
+
+def test_trailing_input_after_a_literal_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse_literal("p q")
+    assert (info.value.position, info.value.expected, info.value.found) == (2, "end of input", "q")

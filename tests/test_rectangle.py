@@ -1,18 +1,27 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rectatg
 from rectatg import (
     Clause,
     ClauseSet,
     IndexOutOfRangeError,
     Marker,
+    Rectangle,
     SizeCapError,
     complementary,
     construct_from_template,
+    generate_theorem,
     generate_theorem_with_partition,
     negate_literal,
     parse_generation_set,
@@ -25,6 +34,7 @@ from conftest import (
     grid_clauses,
     lit,
     random_generation_set,
+    replace,
     validate_generation_set,
 )
 
@@ -312,3 +322,105 @@ def test_column_views_compare_by_their_drops_and_as_clause_sets(text):
         # The same clauses in another order are not an equal clause set.
         assert remove_clauses(rect, ()) != flipped.clause_set()
         assert set(rect.clauses) == set(flipped.clauses)
+
+
+def _names(n: int) -> str:
+    return ", ".join(f"p{i}" for i in range(n))
+
+
+def test_a_rectangle_is_a_value_of_its_generators():
+    assert "__eq__" not in vars(Rectangle) and "__hash__" not in vars(Rectangle)
+    assert Rectangle.__match_args__ == ("generators",)
+    rect = construct_from_template(parse_generation_set("p, ~q"))
+    assert hash(rect) == hash((rect.generators,))
+    assert rect != rect.generators and rect.__eq__(rect.generators) is NotImplemented
+    assert repr(rect) == "Rectangle(n=2, width=4)"
+    assert replace(rect, generators=parse_generation_set("a")) == Rectangle(parse_generation_set("a"))
+    match rect:
+        case Rectangle(generators):
+            assert generators == parse_generation_set("p, ~q")
+        case _:
+            pytest.fail("no match")
+
+
+def test_a_rectangle_cannot_be_changed():
+    # Assigning generators once left width 8 next to two-cell columns.
+    rect = construct_from_template(parse_generation_set("p, q"))
+    assert len(rect.clauses) == 4 and len(rect.rows) == 2
+    for name in ("generators", "_signs", "_rows", "_clauses", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rect, name, parse_generation_set("a, b, c"))
+        with pytest.raises(AttributeError):
+            delattr(rect, name)
+    assert rect.generators == parse_generation_set("p, q")
+    assert rect.width == 4 and len(rect.column(0)) == 2 and len(rect.clauses) == 4
+
+
+@pytest.mark.parametrize("hypothesis", ((0,), (0, 5, 9000)))
+def test_hashing_a_theorem_builds_no_clause(hypothesis):
+    # Hashing the premises' Clause tuple once took 6.9 s at n=18.
+    g = parse_generation_set(_names(18))
+    theorem = generate_theorem_with_partition(g, hypothesis)
+    assert hash(theorem) == hash(generate_theorem_with_partition(g, hypothesis))
+    assert theorem.premises.rect._clauses is None and theorem.premises.rect._rows is None
+    assert theorem.premises._kept is None and theorem.hypothesis_clauses._kept is None
+    assert hash(generate_theorem(g)) == hash(generate_theorem(g))
+    assert generate_theorem(g).premises._kept is None
+
+
+def test_a_built_rectangle_pickles_and_copies_by_its_generators():
+    theorem = generate_theorem(parse_generation_set(_names(16)))
+    rect = theorem.premises.rect
+    # Fill every cache: pickles held them whole, 9.9 MB at n=16.
+    assert len(rect.clauses) == len(rect.rows[0]) == len(theorem.premises.clauses) + 1
+    data = pickle.dumps(theorem)
+    assert len(data) < 2048, len(data)
+    for again in (pickle.loads(data), copy.copy(theorem), copy.deepcopy(theorem)):
+        assert again == theorem and hash(again) == hash(theorem)
+    for again in (pickle.loads(pickle.dumps(rect)), copy.copy(rect), copy.deepcopy(rect)):
+        assert type(again) is Rectangle and again == rect and hash(again) == hash(rect)
+        assert again._clauses is None and again._rows is None
+        assert again.column(5) == rect.column(5)
+
+
+def _run_limited(code: str, mib: int) -> subprocess.CompletedProcess:
+    """Run ``code`` in a child that may map ``mib`` MiB, so what cannot be
+    allocated fails there and not on the machine."""
+
+    def limit():
+        import resource
+
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, hard))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rectatg.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, preexec_fn=limit, timeout=120)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds mmap on Linux")
+def test_hashing_a_theorem_needs_none_of_its_clauses():
+    # At n=20 the premises' Clause tuple does not fit in 512 MiB.
+    done = _run_limited(
+        "from rectatg import generate_theorem, parse_generation_set\n"
+        f"t = generate_theorem(parse_generation_set({_names(20)!r}))\n"
+        "print(hash(t) == hash(t), t.premises._kept, t.premises.rect._clauses)\n",
+        512,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True None None\n", "")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds mmap on Linux")
+def test_a_clause_tuple_the_process_cannot_allocate_is_a_cap_error():
+    # 2^20 Clauses of 20 literals need about 280 MiB.
+    done = _run_limited(
+        "from rectatg import CapExceededError, construct_from_template, parse_generation_set\n"
+        f"rect = construct_from_template(parse_generation_set({_names(20)!r}))\n"
+        "try:\n"
+        "    rect.clauses\n"
+        "except CapExceededError as exc:\n"
+        "    print(exc, rect._clauses)\n",
+        256,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "the tuple of 1048576 clauses is more than can be allocated None\n"

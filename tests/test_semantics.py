@@ -827,3 +827,27 @@ def test_removals_differ_where_one_result_does():
     trimmed = semantics.Removals(removals._atoms, removals._witnesses[:-1], {})
     assert trimmed != removals
     assert removals != tuple(removals)
+
+
+def test_minimality_counts_an_unsat_removal():
+    # Removing q leaves p and ¬p: that removal is UNSAT, so the set is
+    # not minimal and the count is 2, not 3.
+    report = check_minimality(clause_set(clause("p"), clause("~p"), clause("q")))
+    assert [result.satisfiable for result in report.removals] == [True, True, False]
+    assert report.removals.sat_count() == 2
+    assert report.summary() == "full: UNSAT; removals: 2/3 SAT"
+    assert not report.ok
+
+
+@pytest.mark.parametrize("max_atoms, max_clauses", ((4, 5), (2, 6)))
+@settings(max_examples=80)
+@given(rng=st.randoms(use_true_random=False))
+def test_minimality_counts_agree_with_the_direct_oracle(rng, max_atoms, max_clauses):
+    s = random_clause_set(rng, max_atoms=max_atoms, max_clauses=max_clauses)
+    full = sat_oracle_direct(s) is not None
+    sat = sum(sat_oracle_direct(s.clauses[:j] + s.clauses[j + 1:]) is not None
+              for j in range(len(s)))
+    report = check_minimality(s)
+    assert report.removals.sat_count() == sat
+    assert report.summary() == f"full: {'SAT' if full else 'UNSAT'}; removals: {sat}/{len(s)} SAT"
+    assert report.ok == (not full and sat == len(s))
