@@ -7,8 +7,9 @@ column order: cell (i, j) is generator i, complemented when bit i of j
 is set.
 
 A ``Rectangle`` is that closed form: it stores only the generators and
-their complements.  Its rows, its clauses and its columns are views
-built on first use.  Writers never need them:
+their complements.  Its rows are ``template._Row`` views that read each
+cell from that rule, so no row is laid out; its clauses and its columns
+are built on first use.  Writers never need them:
 ``Rectangle.column_blocks`` renders the columns from one token per row
 and polarity as one block per pattern of the high half of the rows, a
 shared list of low-half texts and the block's high-half text, so a
@@ -25,21 +26,13 @@ cell for cell.
 
 from __future__ import annotations
 
-import operator
-import sys
 from itertools import groupby
-from typing import AnyStr, Callable, Collection, Iterable, Iterator, TypeVar
+from typing import AnyStr, Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import (
-    CapExceededError,
-    IndexOutOfRangeError,
-    SizeCapError,
-    TooManyAtomsError,
-    _number,
-)
+from .errors import CapExceededError, IndexOutOfRangeError, TooManyAtomsError, _number
 from .logic import Atom, Clause, ClauseSet, Literal, Masks, _set, _Value, negate_literal
 from .parser import GenerationSet
-from .template import DEFAULT_MAX_LEVEL, _sign_rows
+from .template import DEFAULT_MAX_LEVEL, _check_cap, _index, _Row
 
 # A token type that ``+`` joins: str, bytes or tuples of cells.
 _Text = TypeVar("_Text")
@@ -73,9 +66,9 @@ class Rectangle(_Value):
         return 1 << self.generators.n
 
     @property
-    def rows(self) -> tuple[tuple[Literal, ...], ...]:
+    def rows(self) -> tuple[Sequence[Literal], ...]:
         if self._rows is None:
-            _set(self, "_rows", tuple(_sign_rows(self.n, [((p,), (q,)) for p, q in self._signs])))
+            _set(self, "_rows", tuple(_Row(pair, i, self.n) for i, pair in enumerate(self._signs)))
         return self._rows
 
     @property
@@ -293,13 +286,10 @@ def construct_from_template(
     Cell (i, j) is generator i where the level-n template marker is
     positive and its complement where the marker is "?", that is, where
     bit i of j is set.  Nothing is laid out until a view is asked for;
-    the level cap is still checked here.  So is the width: 2**n must be
-    an index-sized integer, as ``len`` and ``range`` need, so the cap is
-    never above 62 on a 64-bit build (``sys.maxsize``).
+    the level cap is still checked here, by ``template._check_cap``,
+    which also keeps 2**n an index-sized integer.
     """
-    n, cap = generators.n, min(max_level, sys.maxsize.bit_length() - 1)
-    if n > cap:
-        raise SizeCapError(n, cap)
+    _check_cap(generators.n, max_level)
     return Rectangle(generators)
 
 
@@ -308,13 +298,7 @@ def _columns(indices: Iterable[int], width: int) -> list[int]:
     as ``operator.index`` reads it, in ``0..width-1``: the first
     non-integer given, else the smallest index out of range, is an
     IndexOutOfRangeError."""
-    columns = set()
-    for j in indices:
-        try:
-            columns.add(operator.index(j))
-        except TypeError:
-            raise IndexOutOfRangeError(f"column {j!r} is not an integer") from None
-    columns = sorted(columns)
+    columns = sorted({_index(j, "column") for j in indices})
     if columns and (columns[0] < 0 or columns[-1] >= width):
         bad = next(j for j in columns if not 0 <= j < width)
         raise IndexOutOfRangeError(f"column {_number(bad)} not in 0..{width - 1}")

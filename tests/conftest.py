@@ -187,7 +187,8 @@ def construct_naive(generators, max_level=DEFAULT_MAX_LEVEL):
     Level 1 is the single row (l1, ~l1).  Each further level lays two
     copies of the previous grid side by side and appends a new bottom
     row: 2**(i-1) copies of the next generator, then as many of its
-    complement.  Rows are tuples, as ``Rectangle.rows`` gives them.
+    complement.  Rows are tuples, which the row views of
+    ``Rectangle.rows`` equal cell for cell.
     """
     n = generators.n
     if n > max_level:
