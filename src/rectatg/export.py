@@ -55,10 +55,12 @@ from .logic import (
     Prop,
     Term,
     Variable,
+    _set,
+    _Value,
     collect_atoms,
 )
 from .parser import MAX_NESTING, GenerationSet
-from .rectangle import Rectangle
+from .rectangle import ColumnSet, Rectangle
 from .template import DEFAULT_MAX_LEVEL
 from .theoremgen import (
     LiteralConjunction,
@@ -75,16 +77,16 @@ _TPTP_LOWER_WORD = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _OR_UTF8, _BOX_UTF8 = OR_TEXT.encode(), BOX_TEXT.encode()
 
 
-class AtomNumbering:
+class AtomNumbering(_Value):
     """Bijection between atoms and DIMACS variables 1..n."""
 
     __slots__ = ("atoms", "_index")
 
     def __init__(self, atoms: Iterable[Atom]):
-        self.atoms: tuple[Atom, ...] = tuple(atoms)
-        if len(set(self.atoms)) != len(self.atoms):
+        _set(self, "atoms", tuple(atoms))
+        _set(self, "_index", {atom: i + 1 for i, atom in enumerate(self.atoms)})
+        if len(self._index) != len(self.atoms):
             raise ValueError("atom numbering must not repeat atoms")
-        self._index = {atom: i + 1 for i, atom in enumerate(self.atoms)}
 
     @classmethod
     def from_rectangle(cls, rect: Rectangle) -> "AtomNumbering":
@@ -92,7 +94,10 @@ class AtomNumbering:
 
     @classmethod
     def from_clause_set(cls, clause_set: ClauseSet) -> "AtomNumbering":
-        return cls(collect_atoms(clause_set))
+        """The atoms in first-appearance order.  A rectangle view reads them
+        from its masks, which build no Clause; a plain set is scanned once."""
+        view = isinstance(clause_set, ColumnSet)
+        return cls(clause_set.masks(sys.maxsize)[0] if view else collect_atoms(clause_set))
 
     def number(self, atom: Atom) -> int:
         try:

@@ -3,6 +3,16 @@
 All values are immutable and compare structurally.  Negation is a
 polarity flag on the literal, so negating twice is the identity by
 construction and double negation cannot be represented.
+
+Every value class is a ``_Value``: here ``Constant``, ``Variable``,
+``Function``, ``Prop``, ``Pred``, ``Literal``, ``Clause`` and
+``ClauseSet``; elsewhere ``rectangle.Rectangle`` and its ``ColumnSet``
+views, ``template.PolarityTemplate`` and its ``_Row`` views,
+``export.AtomNumbering``, ``parser.GenerationSet``, the theorem
+values of ``theoremgen`` and the results of ``semantics``.  No field
+can be assigned or deleted, nor a new name set.  Pickle and ``copy``
+rebuild a value from its fields, so a view pickles and copies as a
+view and a copy starts with empty caches.
 """
 
 from __future__ import annotations
@@ -37,15 +47,16 @@ class _Value:
     ``__init__`` with ``_set``.  The fields are the public names there;
     a slot whose name starts with ``_`` is a cache, and everything below
     ignores it.  Two values are equal when they are of the same class with
-    equal fields; the hash is the field tuple's, computed once and kept
-    in the ``_hash`` cache.  The repr reads ``Prop(name='p')``,
-    positional patterns match the fields in order, no slot can be
-    assigned or deleted, and pickle and ``copy`` rebuild a value by
-    calling its class with the fields, so a copy starts with empty
-    caches.
+    equal fields; the hash is the field tuple's, or that of what a class's
+    ``_hashed`` function reads, computed once and kept in the ``_hash``
+    cache.  The repr reads ``Prop(name='p')``, positional patterns match
+    the fields in order, no slot can be assigned or deleted, and pickle
+    and ``copy`` rebuild a value by calling its class with the fields, so
+    a copy starts with empty caches.
     """
 
     __slots__ = ("_hash",)
+    _hashed = None
 
     def __init_subclass__(cls):
         fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
@@ -63,7 +74,7 @@ class _Value:
         try:
             return self._hash
         except AttributeError:
-            _set(self, "_hash", hash(self._fields(self)))
+            _set(self, "_hash", hash((self._hashed or self._fields)(self)))
             return self._hash
 
     def __repr__(self) -> str:
@@ -193,7 +204,7 @@ def complementary(a: Literal, b: Literal) -> bool:
 OR_TEXT, BOX_TEXT = " ∨ ", "□"
 
 
-class Clause:
+class Clause(_Value):
     """Disjunction of literals.
 
     Literal order is kept (it mirrors the row order of the rectangle a
@@ -204,13 +215,14 @@ class Clause:
     __slots__ = ("literals", "_key")
 
     def __init__(self, literals: Iterable[Literal] = ()):
-        self.literals: tuple[Literal, ...] = tuple(literals)
-        self._key = None
+        _set(self, "literals", tuple(literals))
 
     def _multiset_key(self):
-        if self._key is None:
-            self._key = frozenset(Counter(self.literals).items())
-        return self._key
+        try:
+            return self._key
+        except AttributeError:
+            _set(self, "_key", frozenset(Counter(self.literals).items()))
+            return self._key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Clause):
@@ -249,7 +261,7 @@ def negate_clause(clause: Clause) -> tuple[Literal, ...]:
     return tuple(negate_literal(l) for l in clause.literals)
 
 
-class ClauseSet:
+class ClauseSet(_Value):
     """Ordered collection of clauses.
 
     An empty ClauseSet (no clauses, satisfiable) is a different value
@@ -262,7 +274,7 @@ class ClauseSet:
     __slots__ = ("clauses",)
 
     def __init__(self, clauses: Iterable[Clause] = ()):
-        self.clauses: tuple[Clause, ...] = tuple(clauses)
+        _set(self, "clauses", tuple(clauses))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClauseSet):

@@ -179,7 +179,10 @@ def _clause_tuple(view: ColumnSet, share: bool) -> tuple[Clause, ...]:
         if share:
             drop = view.drop
             return tuple(c for j, c in enumerate(view.rect.clauses) if j not in drop)
-        return tuple(Clause(low + tail) for lows, tail in view.blocks(_cell, ()) for low in lows)
+        # Held here, the blocks are closed once the partial tuple is
+        # freed, not while the process is still out of memory.
+        blocks = view.blocks(_cell, ())
+        return tuple(Clause(low + tail) for lows, tail in blocks for low in lows)
     except MemoryError:
         raise CapExceededError(
             f"the tuple of {_number(len(view))} clauses is more than can be allocated"
@@ -202,20 +205,24 @@ class ColumnSet(ClauseSet):
     ``Rectangle.column_blocks`` and ``masks`` reads the cell rule.  Two
     views of equal rectangles with the same ``keep`` are equal exactly
     when they drop the same columns: the generators' predicate symbols
-    are pairwise distinct, so no two columns are equal clauses.
+    are pairwise distinct, so no two columns are equal clauses.  The
+    fields are ``rect``, ``drop`` and ``keep``: pickle and ``copy``
+    rebuild the view from them, so a copy has built no Clause.
     """
 
     __slots__ = ("rect", "drop", "keep", "_kept")
 
     def __init__(self, rect: Rectangle, drop: frozenset[int] | None, keep: tuple | None = None):
-        self.rect, self.drop, self.keep = rect, drop, keep
-        self._kept: tuple[Clause, ...] | None = None
+        _set(self, "rect", rect)
+        _set(self, "drop", drop)
+        _set(self, "keep", keep)
+        _set(self, "_kept", None)
 
     @property
     def clauses(self) -> tuple[Clause, ...]:
         if self._kept is None:
             # An empty view joins nothing rather than filter the whole tuple.
-            self._kept = _clause_tuple(self, share=self.keep is None and len(self) > 0)
+            _set(self, "_kept", _clause_tuple(self, share=self.keep is None and len(self) > 0))
         return self._kept
 
     def __len__(self) -> int:
@@ -229,11 +236,6 @@ class ColumnSet(ClauseSet):
     # Defining __eq__ clears the inherited hash; equal views have equal
     # lengths, so the length's hash agrees with __eq__.
     __hash__ = ClauseSet.__hash__
-
-    def __reduce__(self):
-        # The inherited clauses slot is shadowed by the property above,
-        # so pickle and copy rebuild the view instead of storing slots.
-        return ColumnSet, (self.rect, self.drop, self.keep)
 
     def blocks(
         self, token: Callable[[Literal], AnyStr], sep: AnyStr

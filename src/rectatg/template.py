@@ -60,19 +60,23 @@ def _check_cap(n: int, max_level: int) -> None:
         raise SizeCapError(n, cap)
 
 
-class _Row(Sequence):
+class _Row(_Value, Sequence):
     """Row i of a level-n sign layout, read from the cell rule.
 
     Cell j is ``pair[j >> i & 1]``: the first of the pair where bit i of
     j is clear, the second where it is set.  A slice is a tuple.  The
     row compares (with tuples and rows), hashes and prints as the tuple
-    of its cells; pickle and ``copy`` keep it a view.
+    of its cells; pickle and ``copy`` keep it a view.  The fields fix
+    every cell, so two rows with equal fields are equal without a cell
+    read.
     """
 
     __slots__ = ("pair", "i", "n")
 
     def __init__(self, pair: tuple, i: int, n: int):
-        self.pair, self.i, self.n = pair, i, n
+        _set(self, "pair", pair)
+        _set(self, "i", i)
+        _set(self, "n", n)
 
     def __len__(self) -> int:
         return 1 << self.n
@@ -89,12 +93,16 @@ class _Row(Sequence):
         return (self.pair[j >> self.i & 1] for j in js)
 
     def __eq__(self, other):
+        if other.__class__ is _Row and self._fields(self) == other._fields(other):
+            return True
         if isinstance(other, (tuple, _Row)):
             return len(self) == len(other) and all(map(operator.eq, self, other))
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
+    # Defining __eq__ clears the inherited hash.  A row hashes as the
+    # tuple of its cells, read once and kept in _hash.
+    __hash__ = _Value.__hash__
+    _hashed = staticmethod(tuple)
 
     def __repr__(self) -> str:
         return repr(tuple(self))

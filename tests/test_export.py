@@ -448,3 +448,33 @@ def test_generators_that_are_not_a_list_are_malformed():
     with pytest.raises(MalformedRecordError) as info:
         export.read_record(json.dumps(data))
     assert str(info.value) == "generators must be a JSON list"
+
+
+def test_a_record_with_one_premise_text_too_many_is_rejected():
+    # Every stored text up to the premises' count matches: only the
+    # length test refuses the extra one.
+    data = json.loads(save_record(generate_theorem(parse_generation_set("p, q, r"))))
+    data["premises"].append(data["premises"][-1])
+    with pytest.raises(MalformedRecordError, match="disagree with reconstruction"):
+        load_record(json.dumps(data))
+
+
+def test_a_boolean_removed_index_is_malformed_even_where_it_would_rebuild():
+    # true would rebuild as column 1, which this record removed: only the
+    # exact type test refuses it.
+    theorem = generate_theorem_with_partition(parse_generation_set("p, q"), (1,))
+    data = json.loads(save_record(theorem))
+    assert data["removed_indices"] == [1] and load_record(json.dumps(data)) == theorem
+    data["removed_indices"] = [True]
+    with pytest.raises(MalformedRecordError) as info:
+        load_record(json.dumps(data))
+    assert str(info.value) == "removed_indices must be a JSON list of integers"
+
+
+def test_a_record_with_one_premise_text_changed_is_rejected():
+    # As many texts as premises, one of them another clause's: only the
+    # text comparison refuses it.
+    data = json.loads(save_record(generate_theorem(parse_generation_set("p, q, r"))))
+    data["premises"][3] = data["premises"][4]
+    with pytest.raises(MalformedRecordError, match="disagree with reconstruction"):
+        load_record(json.dumps(data))
