@@ -17,7 +17,6 @@ import errno
 import os
 import re
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NoReturn
 
@@ -219,11 +218,13 @@ def _resolved_max_level(flag_value: int | None) -> int:
 
 
 def _load_generation_set(args: SimpleNamespace):
-    if args.literals is not None:
-        text = args.literals
-    else:
-        text = Path(args.file).read_text(encoding="utf-8")
+    text = args.literals if args.literals is not None else _read_text(args.file)
     return parse_generation_set(text, args.var_style)
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as source:
+        return source.read()
 
 
 def _check_atom_bound(n: int, max_atoms: int) -> None:
@@ -248,9 +249,9 @@ def _write(pieces: Iterable[bytes]) -> None:
     When ``sys.stdout`` encodes to UTF-8 and has a binary ``buffer``,
     the text layer is flushed and the bytes go straight to the buffer,
     so the output is never decoded or encoded again.  They go in whole
-    multiples of 64 KiB, and one final partial chunk: each piece's
-    chunk-aligned part is written from a ``memoryview`` and only the
-    ragged rest is carried to the next piece.  A pipe then always
+    multiples of 64 KiB, and one final partial chunk: each piece joins
+    one pending buffer, its whole chunks are written at once, and the
+    ragged rest waits for the next piece.  A pipe then always
     fills, and a reader's 64 KiB reads come back full; writes of any
     size leave it many reads that come back a little short, and on
     some readers each short read costs heap that is never given back.
@@ -289,28 +290,19 @@ def _write(pieces: Iterable[bytes]) -> None:
 
 
 def _write_chunks(binary, pieces: Iterable[bytes]) -> None:
-    # One 64 KiB carry buffer: a piece first tops it up, and once it is
-    # full it goes out whole; the piece's chunk-aligned rest is written
-    # straight from the piece, and its ragged end is carried.
-    carry = memoryview(bytearray(_CHUNK))
-    filled = 0
+    # Pieces gather in one pending buffer; whenever it holds whole 64 KiB
+    # chunks they go out in one write, and the ragged rest waits.
+    pending = bytearray()
     for piece in pieces:
-        view = memoryview(piece)
-        if filled:
-            top = view[: _CHUNK - filled]
-            carry[filled : filled + len(top)] = top
-            filled += len(top)
-            if filled < _CHUNK:
-                continue
-            binary.write(carry)
-            view = view[len(top) :]
-        whole = len(view) - len(view) % _CHUNK
+        pending += piece
+        whole = len(pending) - len(pending) % _CHUNK
         if whole:
-            binary.write(view[:whole])
-        filled = len(view) - whole
-        carry[:filled] = view[whole:]
-    if filled:
-        binary.write(carry[:filled])
+            # The view must be released before the buffer can shrink.
+            with memoryview(pending)[:whole] as chunk:
+                binary.write(chunk)
+            del pending[:whole]
+    if pending:
+        binary.write(pending)
 
 
 def _utf8_buffer(out):
@@ -400,7 +392,7 @@ def cmd_rectangle(args: SimpleNamespace) -> int:
 
 def cmd_check(args: SimpleNamespace) -> int:
     if args.record is not None:
-        record = read_record(Path(args.record).read_text(encoding="utf-8"))
+        record = read_record(_read_text(args.record))
         _check_atom_bound(len(record["generators"]), args.max_atoms)
         theorem = rebuild_record(record, args.max_n)
         generators = theorem.provenance.generators

@@ -849,6 +849,28 @@ def test_text_written_before_the_pieces_comes_first(monkeypatch):
     assert bytes(raw.data) == b"before\nafter\n"
 
 
+# Piece sizes around the chunk: empty, one byte, one short of a chunk,
+# a chunk, several chunks, and ragged sizes between them.
+_PIECE_SIZES = st.sampled_from(
+    (0, 1, cli._CHUNK - 1, cli._CHUNK, 3 * cli._CHUNK, 2 * cli._CHUNK + 17)
+) | st.integers(0, 3 * cli._CHUNK)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_PIECE_SIZES, max_size=8))
+# A piece that completes the pending chunk and still holds whole ones.
+@example([1, 2 * cli._CHUNK, 2 * cli._CHUNK])
+def test_utf8_stdout_gets_at_most_one_write_per_piece(sizes):
+    pieces = [bytes([k % 256]) * size for k, size in enumerate(sizes, 1)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        raw = _recording_stdout(monkeypatch)
+        cli._write(iter(pieces))
+    assert bytes(raw.data) == b"".join(pieces)
+    assert all(size % cli._CHUNK == 0 for size in raw.sizes[:-1])
+    assert 0 not in raw.sizes
+    assert len(raw.sizes) <= len(pieces) + 1
+
+
 def _encoded_run(encoding: str, *argv: str) -> subprocess.CompletedProcess:
     env = _child_env(True)
     env["PYTHONIOENCODING"] = encoding
@@ -1346,6 +1368,29 @@ def test_startup_imports_neither_dataclasses_inspect_nor_json(args, code, loaded
     assert done.returncode == code
     assert (done.stderr == "") == (code == 0)
     assert done.stdout.splitlines()[-1] == str(sorted(loaded))
+
+
+@pytest.mark.parametrize("command", (("generate", "-f"), ("check", "--record")))
+def test_reading_a_file_does_not_import_pathlib(tmp_path, command):
+    # Without site, which loads pathlib itself; see the test above.
+    text = "p, q"
+    if command[0] == "check":
+        text = save_record(generate_theorem(parse_generation_set(text)))
+    source = tmp_path / "input"
+    source.write_text(text, encoding="utf-8")
+    probe = (
+        "import sys\n"
+        "from rectatg.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('pathlib' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    argv = [sys.executable, "-S", "-c", probe, *command, str(source)]
+    done = subprocess.run(
+        argv, capture_output=True, text=True, env=_child_env(True), timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 # The command-line grammar the option reader shares with argparse: every
