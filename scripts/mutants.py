@@ -92,7 +92,9 @@ MUTANTS = [
     ("firsts-view", "rectangle",
      "firsts = (0,) if len(self) == 1 and not index else ()", "firsts = ()"),
     ("first-route-verdict", "semantics",
-     "witnesses.append(0 if result.satisfiable else -1)", "witnesses.append(0)"),
+     "decided[j], m = _lowest(rest, max_atoms)", "decided[j], m = _lowest(rest, max_atoms)[0], 0"),
+    ("first-route-numbering", "semantics",
+     "self._decided.get(j, self._atoms)", "self._atoms"),
     ("first-route-rest", "semantics",
      "clauses[:j] + clauses[j + 1 :]", "clauses[:j] + clauses[j:]"),
     ("removal-full-lowest", "semantics",
@@ -102,7 +104,7 @@ MUTANTS = [
     ("removal-cube-lowest", "semantics",
      "cube.start + t * cube.step < m)", "cube.start + t * cube.step > m)"),
     ("removal-no-zero", "semantics",
-     "m = zero\n        if pos | neg", "m = -1\n        if pos | neg"),
+     "m = zero\n        if j in firsts", "m = -1\n        if j in firsts"),
     ("sat-count-zeros", "semantics",
      "self._witnesses.count(-1)", "self._witnesses.count(0)"),
     ("sat-count-all", "semantics",

@@ -268,7 +268,9 @@ class ClauseSet(_Value):
     from a ClauseSet holding just the empty clause (unsatisfiable).
     The hash is the length's: equal sets have equal lengths, and a
     rectangle view (``rectangle.ColumnSet``) knows its length without
-    building a Clause.
+    building a Clause.  A set prints by its fields, as every value does:
+    ``ClauseSet(clauses=(Clause(p ∨ q),))``, and a view as its ``rect``,
+    ``drop`` and ``keep``, so printing a view builds no Clause either.
     """
 
     __slots__ = ("clauses",)
@@ -346,9 +348,6 @@ class ClauseSet(_Value):
             if len(index) > known:
                 firsts.add(j)
         return tuple(index), masks, firsts
-
-    def __repr__(self) -> str:
-        return f"ClauseSet([{', '.join(str(c) for c in self.clauses)}])"
 
 
 def collect_atoms(clauses: Iterable[Clause]) -> tuple[Atom, ...]:

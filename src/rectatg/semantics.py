@@ -130,6 +130,12 @@ def _result(atoms: tuple[Atom, ...], m: int) -> SatResult:
     return SatResult(True, {atom: bool(m >> i & 1) for i, atom in enumerate(atoms)})
 
 
+def _lowest(clause_set: ClauseSet, max_atoms: int) -> tuple[tuple[Atom, ...], int]:
+    """The set's atoms and its lowest satisfying assignment, -1 if none."""
+    atoms, masks, _ = clause_set.masks(max_atoms)
+    return atoms, _cover(masks, len(atoms)).find(0)
+
+
 def is_satisfiable(
     clause_set: ClauseSet, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> SatResult:
@@ -145,8 +151,7 @@ def is_satisfiable(
     bound is checked by ``clause_set.masks``, before the array is
     allocated.
     """
-    atoms, masks, _ = clause_set.masks(max_atoms)
-    return _result(atoms, _cover(masks, len(atoms)).find(0))
+    return _result(*_lowest(clause_set, max_atoms))
 
 
 def is_standard_contradiction(
@@ -216,11 +221,12 @@ def _clash_free(clauses: list[tuple[int, int]]) -> bool:
 class Removals(Sequence):
     """Results of the single-clause removals, built when read.
 
-    Removal j is stored as one witness index over the full set's atoms,
-    -1 for UNSAT, in an ``array('q')``: 8 bytes per removal where a
-    witness dict would hold n entries.  The few removals decided on
-    their own clause set keep their SatResult; their stored index only
-    tells -1 (UNSAT) apart, for the count.
+    Removal j is stored as one witness index, -1 for UNSAT, in an
+    ``array('q')``: 8 bytes per removal where a witness dict would hold
+    n entries.  The index reads over the full set's atoms, except for
+    the few removals decided by ``_lowest`` on their own clause set:
+    ``decided`` maps each of those to that set's atoms, which number
+    its index.
 
     Two Removals are equal when they have the same length and equal
     results at every index, as tuples of the results would be.  Like a
@@ -233,7 +239,7 @@ class Removals(Sequence):
         self,
         atoms: tuple[Atom, ...],
         witnesses: array,
-        decided: dict[int, SatResult],
+        decided: dict[int, tuple[Atom, ...]],
     ):
         self._atoms = atoms
         self._witnesses = witnesses
@@ -246,8 +252,7 @@ class Removals(Sequence):
         if isinstance(j, slice):
             return tuple(self[i] for i in range(len(self))[j])
         j = range(len(self))[j]  # IndexError and negative indices as for a tuple
-        decided = self._decided.get(j)
-        return decided if decided is not None else _result(self._atoms, self._witnesses[j])
+        return _result(self._decided.get(j, self._atoms), self._witnesses[j])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Removals):
@@ -300,13 +305,14 @@ def check_minimality(
     The witness identity needs the remaining clauses to number their
     atoms as the full set does.  A clause holding some atom's first
     appearance, as ``clauses.masks`` names them (clause 0 of a plain
-    clause set), is therefore decided by ``is_satisfiable`` on the other
-    clauses; removing a set's only clause leaves the empty set.  The
-    masks are asked for twice, one pass for the cover and one for the
-    removals: a view's masks are computed as they are read, and a plain
-    set's cost one step per literal.  Cost: one ``2^k``-byte array,
-    ``Σ_c 2^(k−|c|)`` marks, the subcube scans of the removals and 8
-    bytes per removal.
+    clause set), is therefore decided on the other clauses by
+    ``_lowest``, the route of ``is_satisfiable``, and the report keeps
+    that set's atoms and lowest point, not a SatResult; removing a set's
+    only clause leaves the empty set.  The masks are asked for twice,
+    one pass for the cover and one for the removals: a view's masks are
+    computed as they are read, and a plain set's cost one step per
+    literal.  Cost: one ``2^k``-byte array, ``Σ_c 2^(k−|c|)`` marks,
+    the subcube scans of the removals and 8 bytes per removal.
 
     Each removal result carries its witness so callers can re-check it
     against the remaining clauses.  The report keeps one witness index
@@ -326,13 +332,11 @@ def check_minimality(
     witnesses = array("q")
     decided = {}
     for j, (pos, neg) in enumerate(clauses.masks(max_atoms)[1]):
+        m = zero
         if j in firsts:
             rest = ClauseSet(clauses[:j] + clauses[j + 1 :] if len(clauses) > 1 else ())
-            result = decided[j] = is_satisfiable(rest, max_atoms)
-            witnesses.append(0 if result.satisfiable else -1)
-            continue
-        m = zero
-        if pos | neg == full and not pos & neg:
+            decided[j], m = _lowest(rest, max_atoms)
+        elif pos | neg == full and not pos & neg:
             # A full clause falsifies the point neg alone.
             if counts[neg] == 1 and not 0 <= zero < neg:
                 m = neg

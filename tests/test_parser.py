@@ -83,6 +83,17 @@ def test_whitespace_insensitive():
     assert parse_literal("P3(g( y ,\n a ))") == parse_literal("P3(g(y,a))")
 
 
+def test_a_generation_set_reads_newlines_in_an_argument_list_as_whitespace():
+    assert parse_generation_set("P(a,\n b)\nq") == parse_generation_set("P(a, b), q")
+    assert str(parse_generation_set("P(\n a\n ,\n f(x,\n y)\n )")) == "{P(a, f(x, y))}"
+    assert parse_generation_set("P(\n)")[0] == Literal(Pred("P", ()))
+    for text, error in (("P(a\n", (4, "',' or ')'", "end of input")),
+                        ("P(a,\n)", (5, "a term", ")"))):
+        with pytest.raises(ParseError) as info:
+            parse_generation_set(text)
+        assert (info.value.position, info.value.expected, info.value.found) == error
+
+
 def test_empty_parens_make_a_nullary_predicate():
     assert parse_literal("P()") == Literal(Pred("P", ()))
     assert parse_literal("P()") != parse_literal("P")

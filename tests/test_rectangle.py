@@ -411,6 +411,31 @@ def test_hashing_a_theorem_needs_none_of_its_clauses():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds mmap on Linux")
+def test_printing_a_theorem_needs_none_of_its_clauses():
+    # A view prints by its fields: at n=20 neither side, nor the negated
+    # conjunction over the hypothesis view, builds a Clause.
+    done = _run_limited(
+        "import time\n"
+        "from rectatg import generate_theorem_with_partition, parse_generation_set\n"
+        f"t = generate_theorem_with_partition(parse_generation_set({_names(20)!r}), (1000, 0, 5))\n"
+        "start = time.perf_counter()\n"
+        "shown = repr(t), str(t.premises), repr(t.conclusion)\n"
+        "print(time.perf_counter() - start < 1, type(t.conclusion).__name__,\n"
+        "      t.premises._kept, t.hypothesis_clauses._kept, t.premises.rect._clauses)\n"
+        "print(shown[1])\n"
+        "print(shown[2])\n",
+        512,
+    )
+    rect, drop = "Rectangle(n=20, width=1048576)", frozenset({0, 5, 1000})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "True NegatedConjunction None None None",
+        f"ColumnSet(rect={rect}, drop={drop!r}, keep=None)",
+        f"NegatedConjunction(clauses=ColumnSet(rect={rect}, drop=None, keep=(0, 5, 1000)))",
+    ]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds mmap on Linux")
 def test_a_clause_tuple_the_process_cannot_allocate_is_a_cap_error():
     # 2^20 Clauses of 20 literals need about 280 MiB.
     done = _run_limited(

@@ -109,6 +109,18 @@ def test_copied_views_have_built_nothing(keep):
     assert again._kept is None and again.rect is view.rect and again == view
 
 
+def test_clause_sets_print_by_their_fields():
+    assert repr(ClauseSet([clause("p", "~q"), EMPTY_CLAUSE])) == (
+        "ClauseSet(clauses=(Clause(p ∨ ¬q), Clause(□)))"
+    )
+    rect = _rect()
+    premises = remove_clauses(rect, (5, 0))
+    assert repr(premises) == str(premises) == (
+        "ColumnSet(rect=Rectangle(n=3, width=8), drop=frozenset({0, 5}), keep=None)"
+    )
+    assert premises._kept is None and rect._clauses is None
+
+
 def test_assignments_that_once_went_stale_raise():
     theorem = generate_theorem(parse_generation_set("p, q"))
     with pytest.raises(AttributeError):
