@@ -1,4 +1,5 @@
-"""Mutation check of the cell rule, the oracles and the record checks.
+"""Mutation check of the cell rule, the oracles, the record checks and
+the text rules: the empty clause, the row separator and the newline.
 
     python scripts/mutants.py
 
@@ -43,6 +44,7 @@ FILES = [
     "tests/test_export.py",
     "tests/test_row_views.py",
     "tests/test_value_classes.py",
+    "tests/test_parser.py",
 ]
 ADDRESS_SPACE = 2 << 30
 TIMEOUT = 60.0
@@ -61,11 +63,15 @@ MUTANTS = [
      "if not len(self) or index and any(index.get(a) != i for i, a in enumerate(atoms)):",
      "if not len(self):"),
     ("half-swapped", "rectangle",
-     "joined = [t + sep + pos for t in joined] + [t + sep + neg for t in joined]",
-     "joined = [t + sep + neg for t in joined] + [t + sep + pos for t in joined]"),
+     "joined = [t + pos for t in joined] + [t + neg for t in joined]",
+     "joined = [t + neg for t in joined] + [t + pos for t in joined]"),
     ("half-interleaved", "rectangle",
-     "joined = [t + sep + pos for t in joined] + [t + sep + neg for t in joined]",
-     "joined = [t + sep + c for t in joined for c in (pos, neg)]"),
+     "joined = [t + pos for t in joined] + [t + neg for t in joined]",
+     "joined = [t + c for t in joined for c in (pos, neg)]"),
+    ("sep-every-row", "rectangle",
+     "for pos, neg in tokens[1:]]", "for pos, neg in tokens[:]]"),
+    ("sep-from-row-two", "rectangle",
+     "for pos, neg in tokens[1:]]", "for pos, neg in tokens[2:]]"),
     ("blocks-drop-bits", "rectangle",
      "add(j & ((1 << h) - 1))", "add(j >> h)"),
     ("column-bit", "rectangle",
@@ -87,6 +93,9 @@ MUTANTS = [
     ("subcube-start", "semantics", "start = neg | s", "start = s"),
     ("cover-full-point", "semantics",
      "counts[neg] = _BUMP[counts[neg]]", "counts[neg] = 1"),
+    # The empty clause.
+    ("box-ignored", "logic",
+     "box = empty if box is None else box", "box = empty"),
     # The removals.
     ("firsts-plain", "logic", "firsts.add(j)", "firsts.add(0)"),
     ("firsts-view", "rectangle",
@@ -140,6 +149,11 @@ MUTANTS = [
     ("indices-type", "export",
      "any(type(i) is not int for i in indices)",
      "any(not isinstance(i, int) for i in indices)"),
+    # Newlines inside parentheses.
+    ("depth-never-closes", "parser",
+     'depth += (kind == "LPAREN") - (kind == "RPAREN")', 'depth += kind == "LPAREN"'),
+    ("newline-any-depth", "parser",
+     "keep_newlines and depth <= 0", "keep_newlines"),
     # The row shortcut: equal fields mean equal cells.
     ("row-fields-no-i", "template",
      "self._fields(self) == other._fields(other)", "(self.pair, self.n) == (other.pair, other.n)"),

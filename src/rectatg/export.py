@@ -12,7 +12,11 @@ rows: the shared list of low-half texts and the block's high-half text.
 A writer turns each block into one output piece with a single join, so
 emitting builds no Clause object, calls ``str`` or the token lookup 2n
 times, and takes O(2^(n/2)) Python steps, not one per line or cell.
-Plain clause sets come one clause at a time.
+Plain clause sets come one clause at a time.  ``blocks`` also renders
+the empty clause: the text and record writers and the record check
+pass ``BOX_TEXT``, in UTF-8 for the writers, as its ``box``, so it
+reads ``□`` there as in ``Clause.__str__``; DIMACS passes none, so its
+empty clause is the line ``0``.
 
 Each format is a private generator of output pieces (``_matrix_lines``,
 ``_dimacs_lines``, ``_theorem_lines``, ``_tptp_lines``,
@@ -34,7 +38,7 @@ import re
 import sys
 from itertools import repeat
 from operator import add
-from typing import AnyStr, Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     CapExceededError,
@@ -306,30 +310,9 @@ def export_tptp(theorem: Theorem) -> str:
     return b"".join(_tptp_lines(theorem)).decode()
 
 
-def _clause_blocks(
-    clause_set: ClauseSet,
-    token: Callable[[Literal], AnyStr] = str,
-    sep: AnyStr = OR_TEXT,
-    box: AnyStr = BOX_TEXT,
-) -> Iterator[tuple[list[AnyStr], AnyStr]]:
-    """``clause_set.blocks`` of the clauses' ``str``, literals rendered by
-    ``token`` and joined by ``sep``, without building the clauses of a
-    rectangle view.  The empty clause, always a block of its own,
-    renders as ``box``."""
-    for texts, tail in clause_set.blocks(token, sep):
-        yield (texts, tail) if tail or texts[0] else ([box], tail)
-
-
-def _utf8_clause_blocks(
-    clause_set: ClauseSet, token: Callable[[Literal], str] = str
-) -> Iterator[tuple[list[bytes], bytes]]:
-    """``_clause_blocks`` in UTF-8, each token encoded once."""
-    return _clause_blocks(clause_set, lambda lit: token(lit).encode(), _OR_UTF8, _BOX_UTF8)
-
-
 def _theorem_lines(theorem: Theorem) -> Iterator[bytes]:
     """Plain text lines: one premise per line, then the turnstile line."""
-    for texts, tail in _utf8_clause_blocks(theorem.premises):
+    for texts, tail in theorem.premises.blocks(lambda lit: str(lit).encode(), _OR_UTF8, _BOX_UTF8):
         yield (tail + b"\n").join([*texts, b""])
     yield f"⊢ {theorem.conclusion}\n".encode()
 
@@ -420,15 +403,15 @@ def _record_lines(theorem: Theorem) -> Iterator[bytes]:
     # Reopen the dumped head after its last field: drop the closing "\n}".
     yield (json.dumps(head, ensure_ascii=False, indent=2)[:-2] + ",\n").encode()
 
-    def token(lit: Literal) -> str:
+    def token(lit: Literal) -> bytes:
         # JSON escapes a string one character at a time, so a clause's
         # escaped text is its escaped literals joined by OR_TEXT, and
         # OR_TEXT and BOX_TEXT need no escaping.
-        return encode_basestring(str(lit))[1:-1]
+        return encode_basestring(str(lit))[1:-1].encode()
 
     lead = b'  "premises": [\n    "'
     empty = True
-    for texts, tail in _utf8_clause_blocks(theorem.premises, token):
+    for texts, tail in theorem.premises.blocks(token, _OR_UTF8, _BOX_UTF8):
         end = tail + b'"'
         parts = [lead + texts[0], *texts[1:]]
         parts[-1] += end
@@ -490,7 +473,7 @@ def _texts_match(stored, premises: ClauseSet) -> bool:
     if not isinstance(stored, list) or len(stored) != len(premises):
         return False
     start = 0
-    for texts, tail in _clause_blocks(premises):
+    for texts, tail in premises.blocks(str, OR_TEXT, BOX_TEXT):
         stop = start + len(texts)
         if stored[start:stop] != list(map(add, texts, repeat(tail))):
             return False

@@ -296,22 +296,26 @@ class ClauseSet(_Value):
         return self.clauses[i]
 
     def blocks(
-        self, token: Callable[[Literal], AnyStr], sep: AnyStr
+        self, token: Callable[[Literal], AnyStr], sep: AnyStr, box: AnyStr | None = None
     ) -> Iterator[tuple[list[AnyStr], AnyStr]]:
         """Each clause's literals rendered by ``token`` and joined by ``sep``,
         in clause order, in blocks ``(texts, tail)``: each clause of a
         block is one of ``texts`` followed by ``tail``.
 
         Here every clause is a block of its own with an empty tail, and
-        the empty clause gives the empty text.  Tokens may be ``str`` or
-        ``bytes``, as long as ``sep`` is of the same type; the empty
-        tail is ``sep[:0]``.  A rectangle view (``rectangle.ColumnSet``)
-        yields larger blocks whose clauses all have the same number of
-        literals.
+        the empty clause gives ``box``, or the empty text when ``box`` is
+        None, so ``blocks(str, OR_TEXT, BOX_TEXT)`` gives each clause's
+        ``str``.
+        Tokens may be ``str`` or ``bytes``, as long as ``sep`` and
+        ``box`` are of the same type; the empty tail is ``sep[:0]``.  A
+        rectangle view (``rectangle.ColumnSet``) yields larger blocks
+        whose clauses all have the same number of literals, and none of
+        them is empty.
         """
         empty = sep[:0]
+        box = empty if box is None else box
         for clause in self.clauses:
-            yield [sep.join(map(token, clause.literals))], empty
+            yield [sep.join(map(token, clause.literals)) if clause.literals else box], empty
 
     def masks(self, max_atoms: int, index: dict[Atom, int] | None = None) -> Masks:
         """The atoms in first-appearance order, one ``(pos, neg)`` bit-mask

@@ -9,7 +9,9 @@ Grammar (whitespace-insensitive inside a literal):
     term     = ident [ "(" term { "," term } ")" ]
     ident    = letter { letter | digit | "_" }
 
-Separators between literals are commas, semicolons, or newlines.  A bare
+Separators between literals are commas, semicolons, or newlines outside
+parentheses; inside parentheses a newline is whitespace, so an argument
+list may span lines, even between a function name and its "(".  A bare
 identifier in literal-head position is a propositional variable; with a
 parenthesized argument list it is a predicate.  Negation applies to the
 whole atom, so stacked negation ("~~p") is a syntax error.  Whether a
@@ -64,14 +66,18 @@ class _Token(_Value):
 
 
 def _tokenize(text: str, keep_newlines: bool) -> list[_Token]:
+    """The tokens of ``text`` and an END token, without whitespace.  A
+    newline is kept, as a separator, only with ``keep_newlines`` and
+    outside every parenthesis: inside one it is whitespace."""
     tokens = []
-    pos = 0
+    pos = depth = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(pos, "a literal token", text[pos])
         kind = m.lastgroup
-        if kind != "WS" and (kind != "NEWLINE" or keep_newlines):
+        depth += (kind == "LPAREN") - (kind == "RPAREN")
+        if kind != "WS" and (kind != "NEWLINE" or keep_newlines and depth <= 0):
             tokens.append(_Token(kind, m.group(), pos))
         pos = m.end()
     tokens.append(_Token("END", "", len(text)))
@@ -94,10 +100,6 @@ class _Parser:
         if tok.kind != "END":
             self.i += 1
         return tok
-
-    def _skip_newlines(self) -> None:
-        while self._cur().kind == "NEWLINE":
-            self.i += 1
 
     def _fail(self, expected: str) -> ParseError:
         tok = self._cur()
@@ -139,22 +141,18 @@ class _Parser:
 
     def _parse_arg_list(self, allow_empty: bool, depth: int) -> list[Term]:
         # The current token is the opening paren, which brings the
-        # nesting to depth.  Newlines are plain whitespace inside an
-        # argument list.
+        # nesting to depth.  _tokenize drops the newlines inside it.
         if depth > MAX_NESTING:
             raise self._fail(f"at most {MAX_NESTING} nested parentheses")
         self._advance()
-        self._skip_newlines()
         if allow_empty and self._cur().kind == "RPAREN":
             self._advance()
             return []
         args = [self.parse_term(depth)]
         while True:
-            self._skip_newlines()
             kind = self._cur().kind
             if kind == "COMMA":
                 self._advance()
-                self._skip_newlines()
                 args.append(self.parse_term(depth))
             elif kind == "RPAREN":
                 self._advance()

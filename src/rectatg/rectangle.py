@@ -100,14 +100,18 @@ class Rectangle(_Value):
         ``token`` is called once per row and polarity.  The cells of the
         low ⌊n/2⌋ rows of column j depend only on the low bits of j and
         the other cells only on the high bits, so each half is joined
-        once per bit pattern, 2·2^⌈n/2⌉ joins in all.
-        There is one block per pattern of the high bits: ``tail`` is
-        ``sep`` and that pattern's high-half text, and ``lows`` is the
-        low-half text of every pattern of the low bits.  Every block
-        shares one ``lows`` list, copied only for a block that holds a
-        dropped column, so callers must not change it.  A block of kept
-        columns lists their low-half texts, picked by index, so its cost
-        follows the kept columns, not the 2^⌊n/2⌋ of the block.
+        once per bit pattern, 2·2^⌈n/2⌉ joins in all.  Every token after
+        row 0's carries ``sep`` in front, so a half's text is its tokens
+        concatenated, and a half of no rows is the one empty text.
+        There is one block per pattern of the high bits: ``tail`` is that
+        pattern's high-half text, and ``lows`` is the low-half text of
+        every pattern of the low bits.  With one row the low half has no
+        rows, so ``lows`` is the one empty text and a block is one
+        column.  Every block shares one ``lows`` list, copied only for a
+        block that holds a dropped column, so callers must not change
+        it.  A block of kept columns lists their low-half texts, picked
+        by index, so its cost follows the kept columns, not the 2^⌊n/2⌋
+        of the block.
 
         The blocks are only concatenated, so tokens of any type that
         ``+`` joins will do: the writers pass UTF-8 ``bytes``, and
@@ -116,24 +120,21 @@ class Rectangle(_Value):
         CapExceededError.
         """
         tokens = [(token(pos), token(neg)) for pos, neg in self._signs]
+        # Every row after row 0 brings the separator before its cell.
+        tokens = tokens[:1] + [(sep + pos, sep + neg) for pos, neg in tokens[1:]]
         h = len(tokens) // 2
 
         def half(pairs):
             # Entry m joins the cells these rows hold where the column's
-            # bits read m: bit k picks row k's polarity.
-            joined = list(pairs[0])
-            for pos, neg in pairs[1:]:
-                joined = [t + sep + pos for t in joined] + [t + sep + neg for t in joined]
+            # bits read m: bit k picks row k's polarity.  No rows join to
+            # sep * 0, the empty value of sep's type.
+            joined = [sep * 0]
+            for pos, neg in pairs:
+                joined = [t + pos for t in joined] + [t + neg for t in joined]
             return joined
 
         try:
-            if h:
-                lows = half(tokens[:h])
-                tails = [sep + high for high in half(tokens[h:])]
-            else:
-                # One row: one empty low half (sep * 0 is the empty value
-                # of sep's type) and one column per block.
-                lows, tails = [sep * 0], half(tokens)
+            lows, tails = half(tokens[:h]), half(tokens[h:])
         except MemoryError:
             # A raised level cap can ask for more than this process can hold.
             raise CapExceededError(
@@ -238,8 +239,10 @@ class ColumnSet(ClauseSet):
     __hash__ = ClauseSet.__hash__
 
     def blocks(
-        self, token: Callable[[Literal], AnyStr], sep: AnyStr
+        self, token: Callable[[Literal], AnyStr], sep: AnyStr, box: AnyStr | None = None
     ) -> Iterator[tuple[list[AnyStr], AnyStr]]:
+        # Every column holds all n >= 1 rows, so no clause is empty and
+        # ``box`` is never rendered.
         return self.rect.column_blocks(token, sep, self.drop or (), self.keep)
 
     def masks(self, max_atoms: int, index: dict[Atom, int] | None = None) -> Masks:

@@ -230,7 +230,9 @@ class Removals(Sequence):
 
     Two Removals are equal when they have the same length and equal
     results at every index, as tuples of the results would be.  Like a
-    list, a Removals is unhashable.
+    list, a Removals is unhashable.  The repr reads only the length and
+    ``sat_count``, as ``Removals(length=4, sat=4)``, so it builds no
+    result.
     """
 
     __slots__ = ("_atoms", "_witnesses", "_decided")
@@ -260,6 +262,9 @@ class Removals(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
     __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Removals(length={len(self)}, sat={self.sat_count()})"
 
     def sat_count(self) -> int:
         """How many removals are SAT, without building their results."""

@@ -62,7 +62,7 @@ class NegatedConjunction(_Value):
     ``hypothesis_clauses``, or any clauses a caller gives: a tuple of
     Clause objects or a ``ClauseSet``.  Either way the text is each
     clause's ``str``, rendered through ``ClauseSet.blocks`` as the
-    premises are.
+    premises are, the empty clause as ``□``.
     """
 
     __slots__ = ("clauses",)
@@ -71,8 +71,8 @@ class NegatedConjunction(_Value):
         _set(self, "clauses", clauses)
 
     def __str__(self) -> str:
-        blocks = hypothesis_from_conclusion(self).blocks(str, OR_TEXT)
-        return f"¬(({') ∧ ('.join(t + tail or BOX_TEXT for ts, tail in blocks for t in ts)}))"
+        blocks = hypothesis_from_conclusion(self).blocks(str, OR_TEXT, BOX_TEXT)
+        return f"¬(({') ∧ ('.join(t + tail for ts, tail in blocks for t in ts)}))"
 
 
 Conclusion = LiteralConjunction | NegatedConjunction

@@ -94,6 +94,22 @@ def test_a_generation_set_reads_newlines_in_an_argument_list_as_whitespace():
         assert (info.value.position, info.value.expected, info.value.found) == error
 
 
+def test_a_newline_between_a_function_name_and_its_arguments_is_whitespace():
+    assert parse_generation_set("p(f\n(a)), q") == parse_generation_set("p(f (a)), q")
+    assert parse_generation_set("p(f\n(a)), q")[0] == parse_literal("p(f(a))")
+    assert parse_generation_set("P(X,\n g\n(Y)), q") == parse_generation_set("P(X, g(Y)), q")
+
+
+def test_a_newline_before_a_literals_argument_list_still_separates():
+    # Outside every parenthesis a newline ends the literal, so "(" then
+    # starts the next one.
+    with pytest.raises(ParseError) as info:
+        parse_generation_set("p\n(a)")
+    assert (info.value.position, info.value.expected, info.value.found) == (
+        2, "an identifier", "("
+    )
+
+
 def test_empty_parens_make_a_nullary_predicate():
     assert parse_literal("P()") == Literal(Pred("P", ()))
     assert parse_literal("P()") != parse_literal("P")

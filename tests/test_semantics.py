@@ -829,6 +829,19 @@ def test_removals_differ_where_one_result_does():
     assert removals != tuple(removals)
 
 
+def test_removals_repr_reads_length_and_sat_count_only():
+    report = check_minimality(construct_from_template(parse_generation_set("p, q")))
+    with mock.patch.object(semantics, "_result", side_effect=AssertionError):
+        shown = repr(report.removals)
+    assert shown == "Removals(length=4, sat=4)"
+    assert repr(report) == (
+        "MinimalityReport(full=SatResult(satisfiable=False, witness=None), "
+        "removals=Removals(length=4, sat=4))"
+    )
+    unsat = check_minimality(clause_set(clause("p"), clause("~p"), clause("q")))
+    assert repr(unsat.removals) == "Removals(length=3, sat=2)"
+
+
 def test_minimality_counts_an_unsat_removal():
     # Removing q leaves p and ¬p: that removal is UNSAT, so the set is
     # not minimal and the count is 2, not 3.

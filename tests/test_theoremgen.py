@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rectatg import (
+    EMPTY_CLAUSE,
     Clause,
     ClauseSet,
     EmptyHypothesisError,
@@ -186,3 +187,12 @@ def test_theorem_conclusion_matches_negated_column_zero():
 def test_canonical_theorem_at_sixteen_generators_verifies():
     g = parse_generation_set(", ".join(f"p{i}" for i in range(16)))
     assert verify_theorem(generate_theorem(g))
+
+
+def test_a_negated_conjunction_renders_the_empty_clause_as_a_box():
+    clauses = (EMPTY_CLAUSE, Clause([lit("p")]))
+    assert str(NegatedConjunction(clauses)) == "¬((□) ∧ (p))"
+    assert str(NegatedConjunction(ClauseSet(clauses))) == "¬((□) ∧ (p))"
+    assert str(NegatedConjunction((Clause([lit("p"), lit("q", True)]), EMPTY_CLAUSE))) == (
+        "¬((p ∨ ¬q) ∧ (□))"
+    )
