@@ -1,5 +1,6 @@
-"""Mutation check of the cell rule, the oracles, the record checks and
-the text rules: the empty clause, the row separator and the newline.
+"""Mutation check of the cell rule, the oracles, the record checks, the
+text rules (the empty clause, the row separator and the newline) and
+the index of a view.
 
     python scripts/mutants.py
 
@@ -62,6 +63,10 @@ MUTANTS = [
     ("masks-renumber", "rectangle",
      "if not len(self) or index and any(index.get(a) != i for i, a in enumerate(atoms)):",
      "if not len(self):"),
+    # One index of a view reads one column.
+    ("index-drop-shift", "rectangle",
+     "                if gone > j:", "                if gone >= j:"),
+    ("index-keep", "rectangle", "            j = self.keep[j]", "            j = self.keep[0]"),
     ("half-swapped", "rectangle",
      "joined = [t + pos for t in joined] + [t + neg for t in joined]",
      "joined = [t + neg for t in joined] + [t + pos for t in joined]"),

@@ -248,13 +248,15 @@ def _write(pieces: Iterable[bytes]) -> None:
 
     When ``sys.stdout`` encodes to UTF-8 and has a binary ``buffer``,
     the text layer is flushed and the bytes go straight to the buffer,
-    so the output is never decoded or encoded again.  They go in whole
-    multiples of 64 KiB, and one final partial chunk: each piece joins
-    one pending buffer, its whole chunks are written at once, and the
-    ragged rest waits for the next piece.  A pipe then always
-    fills, and a reader's 64 KiB reads come back full; writes of any
-    size leave it many reads that come back a little short, and on
-    some readers each short read costs heap that is never given back.
+    so the output is never decoded or encoded again.  They go in writes
+    of exactly 64 KiB, and one final shorter one: each piece is copied
+    into one 64 KiB buffer, made once per call, which is written every
+    time it fills, and what is left in it is written at the end.  So
+    the buffer is 64 KiB at every n, whatever the size of a piece.  A
+    pipe then always fills, and a reader's 64 KiB reads come back full;
+    writes of any size leave it many reads that come back a little
+    short, and on some readers each short read costs heap that is never
+    given back.
 
     Any other stdout, one with another encoding or with only ``write``
     and ``flush``, gets each whole piece decoded and passed to
@@ -290,19 +292,21 @@ def _write(pieces: Iterable[bytes]) -> None:
 
 
 def _write_chunks(binary, pieces: Iterable[bytes]) -> None:
-    # Pieces gather in one pending buffer; whenever it holds whole 64 KiB
-    # chunks they go out in one write, and the ragged rest waits.
-    pending = bytearray()
-    for piece in pieces:
-        pending += piece
-        whole = len(pending) - len(pending) % _CHUNK
-        if whole:
-            # The view must be released before the buffer can shrink.
-            with memoryview(pending)[:whole] as chunk:
-                binary.write(chunk)
-            del pending[:whole]
-    if pending:
-        binary.write(pending)
+    # Each piece is copied into one 64 KiB buffer; every time it is full
+    # it goes out in one write, and what is left goes out at the end.
+    with memoryview(bytearray(_CHUNK)) as chunk:
+        used = 0
+        for piece in pieces:
+            rest = memoryview(piece)
+            while rest:
+                take = min(len(rest), _CHUNK - used)
+                chunk[used : used + take], rest = rest[:take], rest[take:]
+                used += take
+                if used == _CHUNK:
+                    binary.write(chunk)
+                    used = 0
+        if used:
+            binary.write(chunk[:used])
 
 
 def _utf8_buffer(out):

@@ -238,6 +238,23 @@ class ColumnSet(ClauseSet):
     # lengths, so the length's hash agrees with __eq__.
     __hash__ = ClauseSet.__hash__
 
+    def __getitem__(self, i):
+        # One index builds one column's Clause from the cell rule; a slice
+        # takes the Clause tuple.  A range reads negative indices and
+        # IndexError as a tuple does.
+        if isinstance(i, slice):
+            return self.clauses[i]
+        j = range(len(self))[i]
+        if self.drop is None:
+            j = self.keep[j]
+        else:
+            # Each dropped column at or below the j-th kept one moves it up.
+            for gone in sorted(self.drop):
+                if gone > j:
+                    break
+                j += 1
+        return Clause(self.rect.column(j))
+
     def blocks(
         self, token: Callable[[Literal], AnyStr], sep: AnyStr, box: AnyStr | None = None
     ) -> Iterator[tuple[list[AnyStr], AnyStr]]:

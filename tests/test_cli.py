@@ -800,7 +800,7 @@ def test_utf8_stdout_gets_whole_64_kib_chunks(monkeypatch, literals, command, ou
     raw = _recording_stdout(monkeypatch)
     extra = ("-H", "0,3") if command == "generate" else ()
     assert main([command, "-l", literals, "-o", output, *extra]) == 0
-    assert raw.sizes and all(size % cli._CHUNK == 0 for size in raw.sizes[:-1])
+    assert raw.sizes and raw.sizes[:-1] == [cli._CHUNK] * (len(raw.sizes) - 1)
     assert bytes(raw.data) == want.encode("utf-8")
 
 
@@ -858,17 +858,39 @@ _PIECE_SIZES = st.sampled_from(
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_PIECE_SIZES, max_size=8))
-# A piece that completes the pending chunk and still holds whole ones.
+# A piece that completes the first chunk and still holds whole ones.
 @example([1, 2 * cli._CHUNK, 2 * cli._CHUNK])
-def test_utf8_stdout_gets_at_most_one_write_per_piece(sizes):
+def test_utf8_stdout_gets_exact_64_kib_writes(sizes):
     pieces = [bytes([k % 256]) * size for k, size in enumerate(sizes, 1)]
     with pytest.MonkeyPatch.context() as monkeypatch:
         raw = _recording_stdout(monkeypatch)
         cli._write(iter(pieces))
+    total = sum(sizes)
     assert bytes(raw.data) == b"".join(pieces)
-    assert all(size % cli._CHUNK == 0 for size in raw.sizes[:-1])
-    assert 0 not in raw.sizes
-    assert len(raw.sizes) <= len(pieces) + 1
+    assert raw.sizes == [cli._CHUNK] * (total // cli._CHUNK) + (
+        [total % cli._CHUNK] if total % cli._CHUNK else [])
+
+
+class CountingRaw(RecordingRaw):
+    """A raw stream that keeps only each write's size."""
+
+    def write(self, data) -> int:
+        self.sizes.append(len(data))
+        return len(data)
+
+
+def test_write_holds_one_chunk_whatever_the_piece_size(monkeypatch):
+    raw = CountingRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8"))
+    pieces = [bytes([k]) * (1 << 20) for k in range(1, 5)]
+    tracemalloc.start()
+    try:
+        cli._write(iter(pieces))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cli._CHUNK
+    assert raw.sizes == [cli._CHUNK] * ((4 << 20) // cli._CHUNK)
 
 
 def _encoded_run(encoding: str, *argv: str) -> subprocess.CompletedProcess:

@@ -8,7 +8,9 @@ text in every format, the same verdicts, and nothing built on the way.
 
 import copy
 import json
+import os
 import pickle
+import subprocess
 import sys
 from unittest import mock
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rectatg
 from rectatg import (
     Clause,
     ClauseSet,
@@ -159,6 +162,59 @@ def test_a_large_hypothesis_builds_no_clause():
     first, last = (Clause(rect.column(j)) for j in (0, (1 << 14) - 2))
     assert text.startswith(f"¬(({first}) ∧ (") and text.endswith(f") ∧ ({last}))")
     assert tptp.count("\n") == (1 << 13) + 1
+
+
+@pytest.mark.parametrize("first_order", (False, True))
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_an_index_reads_the_clause_the_tuple_holds(first_order, rng, data):
+    g = random_generation_set(rng, max_n=8, first_order=first_order)
+    rect = construct_from_template(g)
+    columns = st.lists(st.integers(0, rect.width - 1), max_size=rect.width)
+    theorem = generate_theorem_with_partition(g, data.draw(columns) or [0])
+    views = (theorem.premises, theorem.hypothesis_clauses, remove_clauses(rect, data.draw(columns)),
+             rect.clause_set(), remove_clauses(rect, range(rect.width)))
+    for view in views:
+        want, size = tuple(copy.copy(view)), len(view)
+        edges = [0, 1, size - 1, size, -1, -size, -size - 1]
+        for i in edges + data.draw(st.lists(st.integers(-size - 2, size + 1), max_size=8)):
+            if -size <= i < size:
+                assert view[i].literals == want[i].literals
+            else:
+                with pytest.raises(IndexError):
+                    view[i]
+        assert view._kept is None
+        assert view[1:-1:2] == want[1:-1:2]
+
+
+# Reads two premises of the n=20 theorem under a 512 MiB address space
+# and prints the seconds taken, both clauses and whether any Clause
+# tuple was built.
+_INDEX_AT_N20 = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from rectatg import generate_theorem_with_partition, parse_generation_set
+generators = parse_generation_set(", ".join(f"p{i}" for i in range(20)))
+theorem = generate_theorem_with_partition(generators, [0])
+start = time.perf_counter()
+first, last = theorem.premises[0], theorem.premises[-1]
+print(time.perf_counter() - start, first, "|", last, theorem.premises._kept is None)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds mmap on Linux")
+def test_an_index_at_twenty_generators_builds_one_clause():
+    root = os.path.dirname(os.path.dirname(rectatg.__file__))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _INDEX_AT_N20], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    seconds, text = done.stdout.split(" ", 1)
+    names = [f"p{i}" for i in range(20)]
+    first, last = " ∨ ".join(["¬p0", *names[1:]]), " ∨ ".join(f"¬{p}" for p in names)
+    assert text == f"{first} | {last} True\n"
+    assert float(seconds) < 1
 
 
 def test_keep_view_survives_pickle_and_copy():
