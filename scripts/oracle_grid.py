@@ -11,7 +11,13 @@ the tree's ``src/``.  The rows, on seeded propositional sets from
 - ``generate --verify`` at n = 20 and 22, with every fourth column as
   the hypothesis and ``--max-atoms 24``;
 - the writers at n = 20 and 22: ``generate`` text, json and tptp with
-  eight seeded hypothesis columns, and ``rectangle`` dimacs and matrix.
+  eight seeded hypothesis columns, and ``rectangle`` dimacs and matrix;
+- ``check --record`` at n = 20 and 22 on a record of eight seeded
+  hypothesis columns, written as the benchmark writes one
+  (``json.dumps(inputs.record(...), ensure_ascii=False, indent=2)`` and a
+  newline, streamed), with ``--max-atoms 24``; and the n=20 record once
+  more under ``--max-atoms 19``, which must refuse it (exit 3, no
+  output).
 
 ``--n`` gives every row kind this one list of sizes instead, and
 ``--rows`` keeps only the rows whose name holds the given text.
@@ -22,18 +28,22 @@ The child reads its argument list from a file and calls
 at n=20 is an ``-H`` of about 2 MB, past Linux's 128 KiB for one
 argument.  Wall time runs from the fork to the reaping, peak RSS is
 ``os.wait4``'s, and stdout is a pipe drained in 64 KiB reads, into one
-buffer, and hashed with sha256.
+buffer, and hashed with sha256.  The child's stderr goes to /dev/null:
+a refusal's error line is expected, and any other failure shows in the
+exit code.
 
-First each row runs once on PARENT with stdout copied to a file, which
-is checked against the reference that ``bench/inputs.py`` rebuilds from
-the bit rule, as ``scripts/check_large_outputs.py`` checks it: the
-summary line, ``compare_lines`` for text, DIMACS and the matrix, and
+First each row runs once on PARENT with stdout copied to a file; it
+must exit with the row's code, and the file is checked against the
+reference that ``bench/inputs.py`` rebuilds from the bit rule, as
+``scripts/check_large_outputs.py`` checks it: the summary line,
+``compare_lines`` for text, DIMACS, the matrix and ``check``, and
 ``compare_tptp``.  JSON records and the ``--verify`` rows are compared
 byte for byte with the reference streamed, since parsing a record or
 the conclusion of 2^20 hypothesis columns at n=22 would take gigabytes.
 The check runs in a forked child of its own, so its memory is given back
 before the next run.  Then the trees run in ABBA order, R rounds per row
-(2R pairs), and every run must exit 0 with the checked run's sha256.
+(2R pairs), and every run must exit with the row's code and the checked
+run's sha256.
 
 Per row and metric (``wall_s``, ``peak_rss_mib``) it prints both
 medians and q1-q3, the median paired ratio change/parent, the pairs
@@ -168,6 +178,22 @@ def rows(sizes: list[int] | None, work: str):
         for output in ("dimacs", "matrix"):
             jobs.rectangle(inputs.prop_set(jobs.rng, n), output, as_file=False)
             yield jobs.workload.jobs.pop()
+    for k, n in enumerate(sizes or WIDE_SIZES):
+        layout = inputs.Layout(inputs.prop_set(jobs.rng, n))
+        hyp = inputs._hypothesis(jobs.rng, n, 8)
+        path = Path(work) / f"record-n{n}.json"
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(record_pieces(layout, hyp))
+        summary = inputs.check_summary(n)
+        yield inputs.Job(f"check-record-H8-n{n}",
+                         ["check", "--record", str(path), "--max-atoms", MAX_ATOMS],
+                         lambda p, s=summary: inputs.compare_lines(p, [s, "theorem: verified"]),
+                         size=f"n={n}, {path.stat().st_size} bytes")
+        if not k:
+            yield inputs.Job(f"check-record-refused-n{n}",
+                             ["check", "--record", str(path), "--max-atoms", str(n - 1)],
+                             inputs._no_output, code=3, size=f"n={n} > --max-atoms {n - 1}")
+        path.unlink()
 
 
 def write_args(path: Path, argv: list) -> None:
@@ -207,6 +233,7 @@ for line in sys.stdin:
         try:
             os.dup2(os.open(os.devnull, os.O_RDONLY), 0)
             os.dup2(write_fd, 1)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
             os.closerange(3, 1 << 16)
             os.execve(sys.executable, [sys.executable, "-c", %r, args], env)
         finally:
@@ -310,7 +337,7 @@ def main(argv: list[str]) -> int:
             args, out = Path(work) / "argv", Path(work) / "stdout"
             write_args(args, job.argv)
             first = spawn(spawner, trees["parent"], args, copy=out)
-            error = (f"exit code {first['code']}" if first["code"] else
+            error = (f"exit code {first['code']}" if first["code"] != job.code else
                      checked_apart(job.check, out))
             out.unlink()
             pairs, bad = [], 0
@@ -322,7 +349,7 @@ def main(argv: list[str]) -> int:
                     a2 = spawn(spawner, trees["parent"], args)
                     for tree, run in zip(("parent", "change", "change", "parent"),
                                          (a1, b1, b2, a2)):
-                        bad += run.pop("code") != 0 or run.pop("sha256") != first["sha256"]
+                        bad += run.pop("code") != job.code or run.pop("sha256") != first["sha256"]
                         runs.append({"row": job.name, "tree": tree, **run})
                     pairs += [(a1, b1), (a2, b2)]
                 if bad:

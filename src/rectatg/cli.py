@@ -25,12 +25,12 @@ from .export import (
     AtomNumbering,
     _dimacs_lines,
     _matrix_lines,
+    _read_record_file,
     _record_lines,
     _theorem_lines,
     _tptp_lines,
     export_dimacs,
     export_tptp,
-    read_record,
     rebuild_record,
     render_matrix,
     render_theorem,
@@ -396,9 +396,11 @@ def cmd_rectangle(args: SimpleNamespace) -> int:
 
 def cmd_check(args: SimpleNamespace) -> int:
     if args.record is not None:
-        record = read_record(_read_text(args.record))
-        _check_atom_bound(len(record["generators"]), args.max_atoms)
-        theorem = rebuild_record(record, args.max_n)
+        # The file stays open: the rebuild reads the stored premises back.
+        with open(args.record, "rb", buffering=0) as source:
+            record = _read_record_file(source)
+            _check_atom_bound(len(record["generators"]), args.max_atoms)
+            theorem = rebuild_record(record, args.max_n)
         generators = theorem.provenance.generators
     else:
         theorem = None

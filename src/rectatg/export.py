@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 import sys
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add
 from typing import Iterable, Iterator
 
@@ -430,22 +430,28 @@ def save_record(theorem: Theorem) -> str:
 def read_record(text: str) -> dict:
     """Parse a record's JSON and check its shape without rebuilding it.
 
-    Returns the decoded object: a current-version record with every
-    field present, ``generators`` a list and ``removed_indices`` a list
-    of integers.  Callers can bound the work a rebuild will take from
-    ``len(record["generators"])`` before calling ``rebuild_record``.
+    Returns the decoded object, as ``json.loads`` decodes it: a
+    current-version record with every field present, ``generators`` a
+    list and ``removed_indices`` a list of integers.  Callers can bound
+    the work a rebuild will take from ``len(record["generators"])``
+    before calling ``rebuild_record``.
     """
-    import json  # only the record paths import json; see _record_lines
+    from ._record_scan import read_text
 
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"record is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise MalformedRecordError("record nests too deeply to decode") from None
-    except ValueError:
-        # CPython refuses to convert integers of more than 4300 digits.
-        raise MalformedRecordError("record holds a number too long to decode") from None
+    return _checked(read_text(text))
+
+
+def _read_record_file(source) -> dict:
+    """``read_record`` for a record file open in binary: its premises are
+    left in the file (``_record_scan``), which must stay open until
+    ``rebuild_record`` has compared them."""
+    from ._record_scan import scan
+
+    return _checked(scan(source))
+
+
+def _checked(data) -> dict:
+    """``data`` if it has a record's shape."""
     if not isinstance(data, dict):
         raise MalformedRecordError("record must be a JSON object")
     version = data.get("version")
@@ -467,17 +473,17 @@ def read_record(text: str) -> dict:
 
 
 def _texts_match(stored, premises: ClauseSet) -> bool:
-    """Whether ``stored`` is the list of the premises' texts, compared a
-    block at a time against slices of it, so the texts are never all
-    listed at once."""
-    if not isinstance(stored, list) or len(stored) != len(premises):
+    """Whether ``stored``, a decoded list or a record file's array, holds
+    the premises' texts in order.  The texts are compared in UTF-8 a
+    block at a time, as they are read, so they are never all held."""
+    from ._record_scan import stored_texts
+
+    count, texts = stored_texts(stored)
+    if count != len(premises):
         return False
-    start = 0
-    for texts, tail in premises.blocks(str, OR_TEXT, BOX_TEXT):
-        stop = start + len(texts)
-        if stored[start:stop] != list(map(add, texts, repeat(tail))):
+    for block, tail in premises.blocks(lambda lit: str(lit).encode(), _OR_UTF8, _BOX_UTF8):
+        if list(islice(texts, len(block))) != list(map(add, block, repeat(tail))):
             return False
-        start = stop
     return True
 
 
@@ -499,8 +505,9 @@ def rebuild_record(data: dict, max_level: int = DEFAULT_MAX_LEVEL) -> Theorem:
         raise
     except (RectAtgError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise MalformedRecordError(f"provenance does not rebuild: {exc}") from exc
-    matched = _texts_match(data["premises"], theorem.premises)
-    if not matched or data["conclusion"] != str(theorem.conclusion):
+    if data["conclusion"] != str(theorem.conclusion) or not _texts_match(
+        data["premises"], theorem.premises
+    ):
         raise MalformedRecordError(
             "stored premises or conclusion disagree with reconstruction from provenance"
         )

@@ -12,6 +12,7 @@ values.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import random
@@ -238,6 +239,28 @@ def record_reference(theorem) -> str:
         "conclusion": str(theorem.conclusion),
     }
     return json.dumps(record, ensure_ascii=False, indent=2) + "\n"
+
+
+def record_decode_reference(data: bytes, from_file: bool = True):
+    """What reading a record with ``json.loads`` gives: ``("ok", value)``,
+    or the error's class name and message as ``read_record`` and the CLI
+    reported them.  A file is read as ``open(path, encoding="utf-8")``
+    reads it; otherwise ``data`` is the text's UTF-8 ("surrogatepass")."""
+    if from_file:
+        try:
+            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        except UnicodeDecodeError as exc:
+            return "ValueError", str(exc)
+    else:
+        text = data.decode("utf-8", "surrogatepass")
+    try:
+        return "ok", json.loads(text)
+    except json.JSONDecodeError as exc:
+        return "MalformedRecordError", f"record is not valid JSON: {exc}"
+    except RecursionError:
+        return "MalformedRecordError", "record nests too deeply to decode"
+    except ValueError:
+        return "MalformedRecordError", "record holds a number too long to decode"
 
 
 def theorem_reference(theorem) -> str:

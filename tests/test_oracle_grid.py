@@ -1,5 +1,6 @@
 """``scripts/oracle_grid.py`` times paired runs and checks every output."""
 
+import hashlib
 import importlib.util
 import json
 import random
@@ -28,8 +29,10 @@ def test_the_repository_against_itself_at_four_and_six(tmp_path):
     grid = json.loads(out.read_text(encoding="utf-8"))
     assert {"change", "harness", "machine", "pairs_rule", "claim", "summary"} <= grid.keys()
     kinds = ["check", "generate-H{h}-verify", "generate-text-H8", "generate-json-H8",
-             "generate-tptp-H8", "rectangle-dimacs", "rectangle-matrix"]
+             "generate-tptp-H8", "rectangle-dimacs", "rectangle-matrix", "check-record-H8"]
     want = {f"{kind.format(h=(1 << n) // 4)}-n{n}" for kind in kinds for n in (4, 6)}
+    # The smallest record is also refused, by --max-atoms n - 1.
+    want.add("check-record-refused-n4")
     assert set(grid["summary"]) == want
     for name, row in grid["summary"].items():
         assert row["pairs"] == 2 and len(row["sha256"]) == 64
@@ -39,6 +42,7 @@ def test_the_repository_against_itself_at_four_and_six(tmp_path):
             assert 0 < m["parent_median"] and 0 < m["ratio_median"] and 0 < m["sign_p"] <= 1
         assert done.stdout.count(f"{name} ") == 1
     assert len(grid["runs"]) == 4 * len(want)
+    assert grid["summary"]["check-record-refused-n4"]["sha256"] == hashlib.sha256(b"").hexdigest()
 
 
 @pytest.mark.parametrize("n, hyp", ((3, range(0, 8, 4)), (5, range(0, 32, 4)), (4, [9])))
